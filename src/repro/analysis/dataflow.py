@@ -14,11 +14,12 @@ a missing edge.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.net.packet import DataType
+
+if TYPE_CHECKING:  # networkx is imported on first extraction
+    import networkx as nx
 
 
 def extract_dataflow(system) -> nx.DiGraph:
@@ -28,6 +29,8 @@ def extract_dataflow(system) -> nx.DiGraph:
     carry ``data_type`` and ``frames`` (how many frames of that type the
     supplier actually put on the air during the run).
     """
+    import networkx as nx
+
     if system.sniffer is None:
         raise ValueError("dataflow extraction needs a networked run")
 

@@ -116,7 +116,7 @@ class Board:
                          name=self._report_name)
 
     def _adaptive_report(self) -> None:
-        self.report(self.sim.now)
+        self.report(self.sim.clock.now)
         self.schedule_adapter.on_sent()
         self._schedule_adaptive_report()
 
@@ -165,7 +165,7 @@ class Board:
         oldest = bus.oldest_age(data_type, keys)
         if oldest is not None and oldest > self.max_staleness_s:
             self.max_staleness_s = oldest
-        now = self.sim.now
+        now = self.sim.clock.now
         cache_key = (data_type, tuple(keys))
         fresh = bus.fresh_values(data_type, keys, self.STALE_AFTER_S)
         if fresh:

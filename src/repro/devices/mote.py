@@ -61,11 +61,11 @@ class Mote:
         if extra:
             payload.update(extra)
         packet = Packet(data_type=data_type, source=self.device_id,
-                        created_at=self.sim.now, payload=payload,
+                        created_at=self.sim.clock.now, payload=payload,
                         payload_bytes=payload_bytes)
         if self._trace.enabled:
             packet.trace_ctx = self._trace.begin(
-                self.device_id, data_type, key, self.sim.now)
+                self.device_id, data_type, key, self.sim.clock.now)
         return self.mac.send(packet)
 
     def subscribe(self, data_type: DataType, handler=None) -> None:

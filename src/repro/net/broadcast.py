@@ -68,7 +68,7 @@ class TypeBus:
         if packet.data_type not in self._subscribers:
             self.packets_filtered += 1
             return
-        self.receive_subscribed(packet, sender, self.sim.now)
+        self.receive_subscribed(packet, sender, self.sim.clock.now)
 
     def receive_subscribed(self, packet: Packet, sender: str,
                            now: float) -> None:
@@ -116,7 +116,7 @@ class TypeBus:
         cached = self.latest(data_type, key)
         if cached is None:
             return None
-        return self.sim.now - cached.received_at
+        return self.sim.clock.now - cached.received_at
 
     def mean_of(self, data_type: DataType, keys: List[Any],
                 default: Optional[float] = None) -> Optional[float]:
@@ -143,7 +143,7 @@ class TypeBus:
         supplier simply stops appearing here, and the caller's average
         narrows to the survivors instead of freezing on stale data.
         """
-        now = self.sim.now
+        now = self.sim.clock.now
         values: List[float] = []
         for key in keys:
             entry = self._cache.get((data_type, key))
@@ -159,7 +159,7 @@ class TypeBus:
         run "never heard from" is indistinguishable from "dead", and
         callers must not diagnose supplier loss before first contact.
         """
-        now = self.sim.now
+        now = self.sim.clock.now
         ages: List[float] = []
         for key in keys:
             entry = self._cache.get((data_type, key))

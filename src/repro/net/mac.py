@@ -14,8 +14,7 @@ queueing + access delay) that the networking benchmarks read.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
@@ -139,6 +138,21 @@ class CsmaMac:
         self._cca_name = f"cca/{device_id}"
         self._tx_name = f"mac-tx/{device_id}"
         self._next_name = f"mac-next/{device_id}"
+        # The frame in contention.  ``_busy`` admits one frame at a time
+        # (a send while busy only queues), so its state lives here and
+        # not in per-event closures: the three callbacks below are
+        # bound once and pushed as they are, with no allocation per
+        # event.  ``_packet`` stays set from its first backoff to its
+        # transmission, after ``_cca`` has popped it off the queue.
+        self._packet: Optional[Packet] = None
+        self._enqueue_time = 0.0
+        self._attempt_no = 0
+        self._be = MIN_BE
+        self._attempt_start = 0.0
+        self._push = sim.queue.push_fire
+        self._on_cca = self._cca
+        self._on_transmit = self._transmit
+        self._on_next = self._start_next
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
@@ -147,17 +161,17 @@ class CsmaMac:
         Returns False when the queue is full and the frame was dropped
         at admission (the MCU's small frame buffer overflowed).
         """
+        now = self.sim.clock.now
         if len(self._queue) >= self.queue_limit:
             self.stats.dropped += 1
             if packet.trace_ctx is not None:
-                self._trace.mac_drop(packet.trace_ctx, self.device_id,
-                                     self.sim.now)
+                self._trace.mac_drop(packet.trace_ctx, self.device_id, now)
             return False
         self.stats.enqueued += 1
-        self._queue.append((packet, self.sim.now))
+        self._queue.append((packet, now))
         if packet.trace_ctx is not None:
             self._trace.mac_enqueue(packet.trace_ctx, packet.packet_id,
-                                    self.device_id, self.sim.now)
+                                    self.device_id, now)
         depth = len(self._queue)
         if depth > self.stats.max_queue_depth:
             self.stats.max_queue_depth = depth
@@ -175,8 +189,10 @@ class CsmaMac:
             self._busy = False
             return
         self._busy = True
-        packet, enqueue_time = self._queue[0]
-        self._attempt(packet, enqueue_time, attempt=0, be=MIN_BE)
+        self._packet, self._enqueue_time = self._queue[0]
+        self._attempt_no = 0
+        self._be = MIN_BE
+        self._attempt()
 
     def _refill_backoff_chunks(self) -> List[int]:
         """Prefetch a block of the 32-bit chunks ``integers`` would draw.
@@ -201,9 +217,9 @@ class CsmaMac:
         self._chunk_idx = 0
         return buf
 
-    def _attempt(self, packet: Packet, enqueue_time: float,
-                 attempt: int, be: int) -> None:
-        window = _BACKOFF_WINDOW[be]
+    def _attempt(self) -> None:
+        """Back off a random number of slots, then assess the channel."""
+        window = _BACKOFF_WINDOW[self._be]
         if self._prefetch:
             i = self._chunk_idx
             buf = self._chunk_buf
@@ -216,23 +232,22 @@ class CsmaMac:
             # Self-check failed: draw per call, the sequence ``integers``
             # defines rather than the one the prefetch trick predicts.
             slots = int(self._rng.integers(0, window))
-        delay = slots * UNIT_BACKOFF_S
-        if attempt:
+        if self._attempt_no:
             self.stats.backoffs += 1
         # Direct fire-and-forget push: the delay is provably >= 0 (slot
         # count times a positive constant), so ``post_in``'s validation
         # is dead weight on this several-times-per-frame path.  The
-        # attempt's start time rides along in the partial — the trace
-        # hook fires once per CCA verdict, never at attempt start.
-        sim = self.sim
-        sim.queue.push_fire(
-            sim.clock.now + delay, PRIORITY_NETWORK,
-            partial(self._cca, packet, enqueue_time, attempt, be,
-                    sim.clock.now),
-            self._cca_name)
+        # attempt's start time is kept for the trace hook, which fires
+        # once per CCA verdict, never at attempt start.
+        now = self.sim.clock.now
+        self._attempt_start = now
+        self._push(now + slots * UNIT_BACKOFF_S, PRIORITY_NETWORK,
+                   self._on_cca, self._cca_name)
 
-    def _cca(self, packet: Packet, enqueue_time: float,
-             attempt: int, be: int, attempt_start: float) -> None:
+    def _cca(self) -> None:
+        packet = self._packet
+        attempt = self._attempt_no
+        now = self.sim.clock.now
         if self.medium.is_busy():
             self.stats.cca_failures += 1
             if attempt + 1 >= self.max_backoffs:
@@ -240,44 +255,41 @@ class CsmaMac:
                 self.stats.dropped += 1
                 if packet.trace_ctx is not None:
                     self._trace.mac_cca(packet.packet_id, self.device_id,
-                                        attempt_start, self.sim.clock.now,
+                                        self._attempt_start, now,
                                         attempt, True, True)
                 self._queue.popleft()
                 self._start_next()
                 return
             if packet.trace_ctx is not None:
                 self._trace.mac_cca(packet.packet_id, self.device_id,
-                                    attempt_start, self.sim.clock.now,
+                                    self._attempt_start, now,
                                     attempt, True, False)
-            self._attempt(packet, enqueue_time, attempt + 1,
-                          min(be + 1, MAX_BE))
+            self._attempt_no = attempt + 1
+            self._be = min(self._be + 1, MAX_BE)
+            self._attempt()
             return
         # Channel clear: transmit after the radio turnaround.  Another
         # device whose CCA also passes inside this window will overlap
         # us on the air — the collision mechanism of real CSMA/CA.
         if packet.trace_ctx is not None:
             self._trace.mac_cca(packet.packet_id, self.device_id,
-                                attempt_start, self.sim.clock.now,
+                                self._attempt_start, now,
                                 attempt, False, False)
         self._queue.popleft()
-        sim = self.sim
-        sim.queue.push_fire(
-            sim.clock.now + TURNAROUND_S, PRIORITY_NETWORK,
-            partial(self._transmit, packet, enqueue_time, attempt),
-            self._tx_name)
+        self._push(now + TURNAROUND_S, PRIORITY_NETWORK, self._on_transmit,
+                   self._tx_name)
 
-    def _transmit(self, packet: Packet, enqueue_time: float,
-                  attempt: int) -> None:
+    def _transmit(self) -> None:
+        packet = self._packet
+        now = self.sim.clock.now
         self.stats.sent += 1
-        self.stats.total_access_delay_s += self.sim.now - enqueue_time
+        self.stats.total_access_delay_s += now - self._enqueue_time
         if packet.trace_ctx is not None:
-            self._trace.mac_sent(packet.packet_id, self.device_id,
-                                 self.sim.clock.now, attempt)
+            self._trace.mac_sent(packet.packet_id, self.device_id, now,
+                                 self._attempt_no)
         self.medium.transmit(packet, self.device_id)
         if self.on_transmit is not None:
             self.on_transmit(packet)
         # Next frame (if any) contends after this one's airtime.
-        sim = self.sim
-        sim.queue.push_fire(sim.clock.now + packet.airtime_s(),
-                            PRIORITY_NETWORK, self._start_next,
-                            self._next_name)
+        self._push(now + packet.airtime_s(), PRIORITY_NETWORK,
+                   self._on_next, self._next_name)

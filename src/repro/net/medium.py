@@ -44,18 +44,14 @@ class Transmission:
     start: float
     end: float
     collided: bool = False
+    # How many receivers heard the frame; set when its airtime ends.
+    receivers_reached: int = 0
 
 
-@dataclass(slots=True)
-class SnifferRecord:
-    """What the sniffer logged about one frame."""
-
-    packet: Packet
-    sender: str
-    start: float
-    end: float
-    collided: bool
-    receivers_reached: int
+# The sniffer logs each finished ``Transmission`` itself (nothing
+# mutates one after its airtime has ended); the old record name stays
+# for callers that import it.
+SnifferRecord = Transmission
 
 
 class Sniffer:
@@ -68,18 +64,18 @@ class Sniffer:
     """
 
     def __init__(self) -> None:
-        self.records: List[SnifferRecord] = []
+        self.records: List[Transmission] = []
         self._collisions = 0
-        self._by_type: Dict[object, List[SnifferRecord]] = {}
+        self._by_type: Dict[object, List[Transmission]] = {}
 
-    def log(self, record: SnifferRecord) -> None:
+    def log(self, record: Transmission) -> None:
         self.records.append(record)
         if record.collided:
             self._collisions += 1
         self._by_type.setdefault(record.packet.data_type,
                                  []).append(record)
 
-    def frames_of(self, data_type) -> List[SnifferRecord]:
+    def frames_of(self, data_type) -> List[Transmission]:
         """Frames carrying ``data_type``, in arrival order (a copy)."""
         return list(self._by_type.get(data_type, ()))
 
@@ -345,11 +341,9 @@ class BroadcastMedium:
                                 tx.start, self.sim.clock.now,
                                 1 if tx.collided else 0, reached)
         if self._sniffers:
-            record = SnifferRecord(
-                packet=tx.packet, sender=tx.sender, start=tx.start,
-                end=tx.end, collided=tx.collided, receivers_reached=reached)
+            tx.receivers_reached = reached
             for sniffer in self._sniffers:
-                sniffer.log(record)
+                sniffer.log(tx)
 
     # Minimum run of consecutively collided frames that counts as a
     # "burst" worth an event record; isolated collisions are routine

@@ -153,7 +153,7 @@ class AcScheduleAdapter:
         caller that reschedules from its own firing in a zero-length
         loop.
         """
-        now = self.sim.now
+        now = self.sim.clock.now
         k = int((now - self._offset) // self.period_s) + 1
         when = self._offset + k * self.period_s
         if when <= now + 1e-9:

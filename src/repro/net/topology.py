@@ -9,7 +9,9 @@ deployment generators (a corridor of BubbleZERO-like rooms).
 
 Connectivity is disk-graph: two nodes hear each other iff their distance
 is at most the radio range.  The graph is held as a ``networkx.Graph``
-so routing layers can run standard algorithms on it.
+so routing layers can run standard algorithms on it.  ``networkx`` is
+imported only when a topology is built: the paper's single-cell lab
+never builds one, so ``import repro`` does not need it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class RadioTopology:
         ids = [p.node_id for p in placements]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids in placement list")
+        import networkx as nx
+
         self.radio_range_m = radio_range_m
         self._placements: Dict[str, NodePlacement] = {
             p.node_id: p for p in placements}
@@ -73,10 +75,14 @@ class RadioTopology:
         return self.graph.has_edge(a, b)
 
     def is_connected(self) -> bool:
+        import networkx as nx
+
         return nx.is_connected(self.graph)
 
     def hop_distance(self, a: str, b: str) -> Optional[int]:
         """Shortest hop count between two nodes, or None if partitioned."""
+        import networkx as nx
+
         try:
             return nx.shortest_path_length(self.graph, a, b)
         except nx.NetworkXNoPath:
@@ -85,6 +91,8 @@ class RadioTopology:
     def diameter_hops(self) -> int:
         if not self.is_connected():
             raise ValueError("topology is partitioned")
+        import networkx as nx
+
         return nx.diameter(self.graph)
 
     def steiner_tree_edges(self, terminals: Iterable[str]
@@ -96,6 +104,8 @@ class RadioTopology:
         result is a connected subgraph covering all terminals, pruned
         to a tree.
         """
+        import networkx as nx
+
         terminals = sorted(set(terminals))
         if len(terminals) < 2:
             return []

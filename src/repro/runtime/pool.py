@@ -27,6 +27,13 @@ Design decisions, in order of importance:
   Exceptions raised *inside* a run are deterministic and are recorded
   as failures without retry.
 
+* **Retire on drain.**  Once no spec is left to hand out, every idle
+  worker is sent the shutdown sentinel at once instead of idling until
+  the last run finishes; the worker leaves through ``os._exit(0)``
+  (nothing it holds needs an orderly interpreter teardown), so by the
+  time the slowest run replies the others have long exited and the
+  final join of every worker returns immediately.
+
 ``workers=1`` executes in-process (no pool, no spawn overhead) with
 identical merge semantics — the reference path the parallel result is
 tested against.
@@ -34,8 +41,10 @@ tested against.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import os
+import sys
 import time
 from collections import deque
 from multiprocessing.connection import wait as _connection_wait
@@ -150,15 +159,21 @@ def _run_serial(specs: List[RunSpec],
 def _worker_main(conn) -> None:
     """Worker loop: receive ``(index, attempt, spec)``, reply with
     ``(index, "ok", RunResult, None)`` or ``(index, "error", None,
-    message)``.  ``None`` or a closed pipe shuts the worker down."""
+    message)``.  ``None`` or a closed pipe retires the worker."""
     while True:
         try:
             message = conn.recv()
         except (EOFError, KeyboardInterrupt):  # pragma: no cover
-            return
+            break
         if message is None:
-            return
+            break
         index, attempt, spec = message
+        # A finished run leaves its simulated system behind as one large
+        # reference cycle, which the generational collector frees at a
+        # moment set by allocation counts.  Free it before building the
+        # next system, so a worker's peak memory is that of its largest
+        # run, not of how many runs the schedule happened to give it.
+        gc.collect()
         try:
             reply = (index, "ok", execute_spec(spec, attempt=attempt), None)
         except Exception as exc:
@@ -166,7 +181,24 @@ def _worker_main(conn) -> None:
         try:
             conn.send(reply)
         except (OSError, BrokenPipeError):  # pragma: no cover
-            return
+            break
+    _exit_worker()
+
+
+def _exit_worker() -> None:
+    """Leave the worker process without interpreter teardown.
+
+    Every reply has been sent and the worker owns no files, locks or
+    child processes, so finalising its modules and collecting the
+    simulated systems it built is pure waste.  Only the standard
+    streams can hold unwritten output, so they are flushed first.
+    """
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):  # pragma: no cover
+            pass
+    os._exit(0)
 
 
 class _Worker:
@@ -189,12 +221,15 @@ class _Worker:
         self.deadline = (None if timeout_s is None
                          else time.monotonic() + timeout_s)
 
-    def shutdown(self) -> None:
-        """Polite stop for idle workers; escalates if ignored."""
+    def retire(self) -> None:
+        """Send the shutdown sentinel to an idle worker; do not wait."""
         try:
             self.conn.send(None)
         except (OSError, BrokenPipeError):
             pass
+
+    def reap(self) -> None:
+        """Join a retired worker; escalates if it ignored the sentinel."""
         self.conn.close()
         self.process.join(timeout=2.0)
         if self.process.is_alive():  # pragma: no cover
@@ -220,14 +255,18 @@ def _run_pooled(specs: List[RunSpec], workers: int,
     n = len(specs)
     results: List[Optional[RunPayload]] = [None] * n
     pending = deque((index, 0) for index in range(n))
-    pool: List[_Worker] = [_Worker(ctx) for _ in range(workers)]
+    # ``None`` marks a slot without a live worker: its worker retired
+    # (nothing left to hand out) or was lost.  A slot is respawned only
+    # when a task is waiting for it.
+    pool: List[Optional[_Worker]] = [_Worker(ctx) for _ in range(workers)]
+    retired: List[_Worker] = []
 
     def lose_task(slot: int, kind: str, message: str) -> None:
         """A worker died or was timed out while holding a task."""
         worker = pool[slot]
         index, attempt = worker.task
         worker.kill()
-        pool[slot] = _Worker(ctx)
+        pool[slot] = None
         if attempt < retries:
             pending.appendleft((index, attempt + 1))
             emit(progress, ProgressEvent(RETRIED, index,
@@ -262,29 +301,36 @@ def _run_pooled(specs: List[RunSpec], workers: int,
                                          attempt=attempt, detail=error))
 
     try:
-        while pending or any(w.task is not None for w in pool):
-            # Feed idle (respawning dead-idle) workers.
+        while pending or any(w is not None and w.task is not None
+                             for w in pool):
+            # Feed idle workers, (re)spawning empty or dead-idle slots,
+            # and retire every idle worker once nothing is pending.
             for slot, worker in enumerate(pool):
-                if worker.task is not None:
+                if worker is not None and worker.task is not None:
                     continue
-                if not worker.process.is_alive():
-                    worker.kill()
-                    pool[slot] = worker = _Worker(ctx)
                 if not pending:
+                    if worker is not None:
+                        worker.retire()
+                        retired.append(worker)
+                        pool[slot] = None
                     continue
+                if worker is None or not worker.process.is_alive():
+                    if worker is not None:
+                        worker.kill()
+                    pool[slot] = worker = _Worker(ctx)
                 index, attempt = pending.popleft()
                 try:
                     worker.assign(index, attempt, specs[index], timeout_s)
                 except (OSError, BrokenPipeError):  # pragma: no cover
                     pending.appendleft((index, attempt))
                     worker.kill()
-                    pool[slot] = _Worker(ctx)
+                    pool[slot] = None
                     continue
                 emit(progress, ProgressEvent(STARTED, index,
                                              specs[index].label,
                                              attempt=attempt))
             busy = [(slot, w) for slot, w in enumerate(pool)
-                    if w.task is not None]
+                    if w is not None and w.task is not None]
             if not busy:  # pragma: no cover - pending implies assignable
                 continue
             now = time.monotonic()
@@ -324,10 +370,15 @@ def _run_pooled(specs: List[RunSpec], workers: int,
                               f"(attempt {worker.task[1] + 1})")
     finally:
         for worker in pool:
+            if worker is None:
+                continue
             if worker.task is None:
-                worker.shutdown()
+                worker.retire()
+                retired.append(worker)
             else:  # pragma: no cover - only on parent exceptions
                 worker.kill()
+        for worker in retired:
+            worker.reap()
     undecided = [index for index, payload in enumerate(results)
                  if payload is None]
     if undecided:  # pragma: no cover - the loop exits only when complete

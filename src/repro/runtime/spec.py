@@ -50,8 +50,9 @@ class RunSpec:
     label: str
     scenario: ScenarioSpec
     # Test-only fault-injection hook, interpreted by _apply_injection
-    # before the run starts ("delay:S", "hang", "crash",
-    # "crash-below-attempt:N", "raise").  Never set by production code.
+    # before the run starts ("delay:S", "wait-file:PATH", "hang",
+    # "crash", "crash-below-attempt:N", "raise", or several joined by
+    # "+", run in order).  Never set by production code.
     inject: Optional[str] = None
     # Attach an observability context to the run and ship its payload
     # back on RunResult.obs.  Off by default: telemetry is opt-in per
@@ -302,16 +303,26 @@ def _apply_injection(inject: Optional[str], attempt: int) -> None:
     """Test-only hooks exercising the pool's failure handling."""
     if not inject:
         return
-    if inject.startswith("delay:"):
-        time.sleep(float(inject.split(":", 1)[1]))
-    elif inject == "hang":
-        time.sleep(3600.0)  # pragma: no cover - killed by the pool
-    elif inject == "crash":
-        os._exit(3)
-    elif inject.startswith("crash-below-attempt:"):
-        if attempt < int(inject.split(":", 1)[1]):
+    for directive in inject.split("+"):
+        if directive.startswith("delay:"):
+            time.sleep(float(directive.split(":", 1)[1]))
+        elif directive.startswith("wait-file:"):
+            # Hold the run until the test creates PATH, so it can order
+            # a crash after an event in the parent.  Bounded, so a
+            # signal that never comes fails the test's checks instead
+            # of hanging it.
+            path = directive.split(":", 1)[1]
+            deadline = time.monotonic() + 60.0
+            while not os.path.exists(path) and time.monotonic() < deadline:
+                time.sleep(0.01)
+        elif directive == "hang":
+            time.sleep(3600.0)  # pragma: no cover - killed by the pool
+        elif directive == "crash":
             os._exit(3)
-    elif inject == "raise":
-        raise RuntimeError("injected failure")
-    else:
-        raise ValueError(f"unknown injection {inject!r}")
+        elif directive.startswith("crash-below-attempt:"):
+            if attempt < int(directive.split(":", 1)[1]):
+                os._exit(3)
+        elif directive == "raise":
+            raise RuntimeError("injected failure")
+        else:
+            raise ValueError(f"unknown injection {directive!r}")

@@ -145,7 +145,7 @@ class PeriodicTask(Process):
             return
         self._pending = None
         self.invocations += 1
-        self._action(self.sim.now)
+        self._action(self.sim.clock.now)
         # The action may have stopped the task or rescheduled it.
         if self._running and self._pending is None:
             self._schedule(self._period)
