@@ -22,7 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.slo import SloBudgets, SloReport, score_run
+from repro.analysis.slo import (
+    SloBudgets,
+    SloReport,
+    payload_events,
+    score_run,
+)
 
 #: Metric keys lifted verbatim from RunResult.metrics into a row.
 METRIC_KEYS = (
@@ -73,12 +78,10 @@ def score_payload(payload, *, label: str, controller: str, scenario: str,
 
     ``payload`` is a :class:`~repro.runtime.spec.RunResult` whose spec
     ran with ``telemetry=True`` — the SLO columns come from its event
-    log; the rest are the §V paper metrics it already carries.
+    log, which must be complete (see :func:`payload_events`); the rest
+    are the §V paper metrics it already carries.
     """
-    if payload.obs is None:
-        raise ValueError(f"run {label!r} returned no telemetry; "
-                         "bake-off specs must set telemetry=True")
-    slo = score_run(list(payload.obs["events"]), label, t0=t0,
+    slo = score_run(payload_events(payload, label), label, t0=t0,
                     horizon_s=horizon_s, window_s=window_s,
                     budgets=budgets, warmup_s=warmup_s)
     metrics = {key: payload.metrics[key]

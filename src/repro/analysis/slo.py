@@ -377,6 +377,25 @@ class SloReport:
         }
 
 
+def payload_events(payload, label: str) -> List[Dict[str, object]]:
+    """The event log a run payload shipped back, checked complete.
+
+    ``payload`` is a :class:`~repro.runtime.spec.RunResult` whose spec
+    ran with ``telemetry=True``.  Raises ``ValueError`` when it carries
+    no telemetry, or when its event log dropped records past the cap
+    (:data:`repro.obs.events.MAX_RECORDS`): a verdict over a truncated
+    log could pass a run whose breaches were never recorded.
+    """
+    if payload.obs is None:
+        raise ValueError(f"run {label!r} returned no telemetry; "
+                         "its spec must set telemetry=True")
+    dropped = int(payload.obs.get("dropped_events", 0))
+    if dropped:
+        raise ValueError(f"run {label!r} dropped {dropped} event "
+                         "records; cannot score a truncated event log")
+    return list(payload.obs["events"])
+
+
 def score_run(records: Sequence[Dict[str, object]], label: str,
               t0: float, horizon_s: float, window_s: float,
               budgets: SloBudgets,

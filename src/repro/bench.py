@@ -286,11 +286,6 @@ def run_parallel_section(workers: int,
     }
 
 
-# Grid scaling section defaults: the direct-control grid trials behind
-# `--grid`, and how many seed replicas the lockstep batch stacks.
-GRID_ZONES = (4, 32, 128)
-GRID_BATCH_SEEDS = 16
-
 # Largest grid where the cache-off control run is still cheap enough to
 # bother timing; beyond this the point is already made and the bench
 # only reports the cached path.
@@ -340,7 +335,6 @@ def run_grid_trial(zones: int, vector: bool,
 
 
 def run_grid_section(zone_counts: List[int],
-                     batch_seeds: int = GRID_BATCH_SEEDS,
                      repeat: int = 1) -> Dict[str, object]:
     """Scaling sweep of the vectorized physics core over grid sizes.
 
@@ -348,21 +342,9 @@ def run_grid_section(zone_counts: List[int],
     physics paths (best-of-``repeat`` wall clocks).  The two paths must
     produce identical discrete log hashes — the SoA core is bit-exact,
     so any mismatch raises rather than reporting a speedup over
-    different physics.  A lockstep seed-replication batch
-    (:class:`repro.runtime.lockstep.LockstepBatch`) then stacks
-    ``batch_seeds`` replicas of the same scenario; its headline number
-    is events-per-second *equivalent* — batch size times the master's
-    events over the batch wall clock, i.e. how fast one process
-    delivers seed-replicated trials compared to running them one at a
-    time on the scalar path.
+    different physics.
     """
-    from repro.physics import spectral
-    from repro.runtime.lockstep import LockstepBatch
-
-    section: Dict[str, object] = {
-        "batch_seeds": batch_seeds,
-        "rows": [],
-    }
+    section: Dict[str, object] = {"rows": []}
     for zones in zone_counts:
         scalar = min((run_grid_trial(zones, vector=False)
                       for _ in range(repeat)),
@@ -385,20 +367,9 @@ def run_grid_section(zone_counts: List[int],
                     f"grid-{zones}: disabling the spectral cache "
                     f"changed the discrete hash — the cache must be "
                     f"observationally invisible")
-        spec = get_scenario(f"grid-{zones}")
-        seeds = list(range(7, 7 + batch_seeds))
-        batch_wall = float("inf")
-        for _ in range(repeat):
-            spectral.cache_clear()
-            t0 = time.perf_counter()
-            batch = LockstepBatch(spec, seeds)
-            batch.run()
-            batch_wall = min(batch_wall, time.perf_counter() - t0)
-        events = int(scalar["events"])
-        eq = batch_seeds * events / batch_wall
         row = {
             "zones": zones,
-            "events": events,
+            "events": int(scalar["events"]),
             "solver": vector["solver"],
             "scalar": {k: scalar[k] for k in
                        ("wall_s", "events_per_s", "zone_events_per_s")},
@@ -408,12 +379,6 @@ def run_grid_section(zone_counts: List[int],
             "hashes_equal": True,
             "discrete_hash": scalar["discrete_hash"],
             "spectral_cache": vector["spectral_cache"],
-            "batch": {
-                "seeds": batch_seeds,
-                "wall_s": batch_wall,
-                "events_per_s_equiv": eq,
-                "speedup_vs_scalar": eq / float(scalar["events_per_s"]),
-            },
         }
         if nocache is not None:
             row["nocache"] = {
@@ -431,72 +396,9 @@ def run_grid_section(zone_counts: List[int],
               f"scalar {scalar['wall_s']:.2f}s "
               f"({scalar['zone_events_per_s']:,.0f} zone-ev/s) | "
               f"vector {vector['wall_s']:.2f}s "
-              f"({row['vector_speedup']:.2f}x){cache_note} | "
-              f"batch[{batch_seeds}] {batch_wall:.2f}s -> "
-              f"{eq:,.0f} ev/s-eq "
-              f"({row['batch']['speedup_vs_scalar']:.2f}x vs scalar)",
+              f"({row['vector_speedup']:.2f}x){cache_note}",
               flush=True)
     return section
-
-
-# Lockstep-sweep section defaults: a short direct sweep, enough seeds
-# for a few groups.
-SWEEP_LOCKSTEP_SEEDS = 16
-SWEEP_LOCKSTEP_MINUTES = 30.0
-SWEEP_LOCKSTEP_WARMUP = 5.0
-
-
-def run_sweep_lockstep_section(batch: int,
-                               seeds: int = SWEEP_LOCKSTEP_SEEDS,
-                               run_minutes: float = SWEEP_LOCKSTEP_MINUTES
-                               ) -> Dict[str, object]:
-    """Per-seed pool vs lockstep-backed ``repro sweep``, same seeds.
-
-    Both sides run in this process (workers=1) so the comparison is
-    pure executor mechanics, not pool scheduling.  The master lanes of
-    the lockstep report must be byte-identical to the corresponding
-    rows of the per-seed report; the headline number is events-per-
-    second *equivalent* — the per-seed sweep's total dispatched events
-    divided by each side's wall clock, i.e. how fast either lane
-    delivers the same replicated-trial workload.
-    """
-    from repro.workloads.sweep import SweepConfig, run_sweep
-
-    seed_tuple = tuple(range(1, seeds + 1))
-    serial_cfg = SweepConfig(seeds=seed_tuple, run_minutes=run_minutes,
-                             warmup_minutes=SWEEP_LOCKSTEP_WARMUP,
-                             direct=True)
-    lock_cfg = SweepConfig(seeds=seed_tuple, run_minutes=run_minutes,
-                           warmup_minutes=SWEEP_LOCKSTEP_WARMUP,
-                           direct=True, lockstep_batch=batch)
-    t0 = time.perf_counter()
-    serial = run_sweep(serial_cfg, workers=1)
-    serial_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    lock = run_sweep(lock_cfg, workers=1)
-    lock_wall = time.perf_counter() - t0
-    serial_rows = serial.report_dict()["runs"]
-    lock_rows = lock.report_dict()["runs"]
-    masters = list(range(0, seeds, batch))
-    for idx in masters:
-        if serial_rows[idx] != lock_rows[idx]:
-            raise RuntimeError(
-                f"lockstep sweep master lane {serial_rows[idx]['label']} "
-                f"diverged from the per-seed sweep — the master lane "
-                f"must be byte-identical")
-    events_total = sum(run.events for run in serial.runs)
-    eq_serial = events_total / serial_wall
-    eq_lock = events_total / lock_wall
-    return {
-        "seeds": seeds,
-        "batch": batch,
-        "run_minutes": run_minutes,
-        "events_total": events_total,
-        "serial": {"wall_s": serial_wall, "events_per_s_equiv": eq_serial},
-        "lockstep": {"wall_s": lock_wall, "events_per_s_equiv": eq_lock},
-        "lockstep_speedup": serial_wall / lock_wall,
-        "master_lanes_identical": True,
-    }
 
 
 def _flatten(prefix: str, value: object, out: Dict[str, object]) -> None:
@@ -831,14 +733,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also run the vector-core scaling section "
                              "over these comma-separated grid sizes "
                              "(e.g. 4,32,128)")
-    parser.add_argument("--grid-seeds", type=int, default=GRID_BATCH_SEEDS,
-                        help="seed replicas in the lockstep batch of "
-                             "the grid section")
-    parser.add_argument("--sweep-lockstep", type=int, default=0,
-                        metavar="BATCH",
-                        help="also compare a per-seed sweep against a "
-                             "lockstep-backed sweep with groups of "
-                             "BATCH replicas (0: skip)")
     parser.add_argument("--obs", action="store_true",
                         help="rerun the trials with observability on; "
                              "record the wall-clock overhead and assert "
@@ -904,23 +798,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.grid:
         zone_counts = [int(z) for z in args.grid.split(",") if z]
         print(f"running grid scaling section (zones: "
-              f"{', '.join(map(str, zone_counts))}; "
-              f"batch of {args.grid_seeds} seeds)...", flush=True)
-        report["grid"] = run_grid_section(zone_counts,
-                                          batch_seeds=args.grid_seeds,
-                                          repeat=args.repeat)
-    if args.sweep_lockstep > 0:
-        print(f"running lockstep-sweep section "
-              f"({SWEEP_LOCKSTEP_SEEDS} seeds, groups of "
-              f"{args.sweep_lockstep})...", flush=True)
-        sweep_section = run_sweep_lockstep_section(args.sweep_lockstep)
-        report["sweep_lockstep"] = sweep_section
-        print(f"  per-seed {sweep_section['serial']['wall_s']:.2f}s vs "
-              f"lockstep {sweep_section['lockstep']['wall_s']:.2f}s | "
-              f"{sweep_section['lockstep']['events_per_s_equiv']:,.0f} "
-              f"ev/s-eq | speedup "
-              f"{sweep_section['lockstep_speedup']:.2f}x | master lanes "
-              f"identical", flush=True)
+              f"{', '.join(map(str, zone_counts))})...", flush=True)
+        report["grid"] = run_grid_section(zone_counts, repeat=args.repeat)
     if args.workers > 0:
         print(f"running parallel section ({args.workers} workers, "
               f"{args.parallel_runs} runs)...", flush=True)

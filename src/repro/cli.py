@@ -130,31 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     lifetime.add_argument("--hours", type=float, default=2.0)
     lifetime.add_argument("--seed", type=int, default=7)
 
-    bench = sub.add_parser(
-        "bench", help="time the paper trials (see repro.bench)")
-    bench.add_argument("--trial", choices=["hvac", "network", "all"],
-                       default="all")
-    bench.add_argument("--no-macro", action="store_true")
-    bench.add_argument("--repeat", type=int, default=1,
-                       help="best-of-N wall clock per trial")
-    bench.add_argument("--workers", type=int, default=0,
-                       help="also run the parallel fan-out section with "
-                            "this many workers (0: skip)")
-    bench.add_argument("--grid", metavar="ZONES", default=None,
-                       help="also run the vector-core scaling section "
-                            "over these comma-separated grid sizes "
-                            "(e.g. 4,32,128)")
-    bench.add_argument("--grid-seeds", type=int, default=16,
-                       help="seed replicas in the grid section's "
-                            "lockstep batch")
-    bench.add_argument("--obs", action="store_true",
-                       help="also measure observability overhead: rerun "
-                            "the trials with telemetry on and assert "
-                            "<3%% wall-clock cost and identical hashes")
-    bench.add_argument("--telemetry", metavar="DIR", default=None,
-                       help="write the instrumented trials' telemetry "
-                            "artifacts here (implies --obs)")
-    bench.add_argument("-o", "--output", default="BENCH_2.json")
+    # `repro bench ARGS` hands ARGS to repro.bench untouched (see
+    # main), so its options are declared once, there.
+    sub.add_parser("bench", add_help=False,
+                   help="time the paper trials; every argument goes to "
+                        "`python -m repro.bench`")
 
     campaign = sub.add_parser(
         "campaign",
@@ -217,15 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--controller", metavar="NAME", default="pid",
                        help="control stack for every replicate (see "
                             "`repro controllers`; default: pid)")
-    sweep.add_argument("--lockstep-batch", type=int, default=None,
-                       metavar="R",
-                       help="shard seeds into lockstep groups of R "
-                            "replicas each (direct, scriptless sweeps "
-                            "only; first seed of a group is the "
-                            "bit-exact master lane, the rest are "
-                            "replica-lane within the documented "
-                            "lockstep tolerance); composes with "
-                            "--workers, which then counts groups")
     sweep.add_argument("--workers", type=int, default=None,
                        help="process-pool width (default: cpu count, "
                             "capped at the number of replicates)")
@@ -692,25 +663,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              script=("paper-phase-two" if args.paper_events
                                      else "none"),
                              direct=args.direct, fixed_tx=args.fixed_tx,
-                             controller=args.controller,
-                             lockstep_batch=args.lockstep_batch)
+                             controller=args.controller)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    from repro.workloads.sweep import _expected_payloads
-    jobs = _expected_payloads(config)
-    workers = (default_worker_count(jobs) if args.workers is None
+    workers = (default_worker_count(len(seeds)) if args.workers is None
                else args.workers)
-    if config.lockstep_batch is None:
-        print(f"{len(seeds)} replicates (seeds {seeds[0]}..{seeds[-1]}), "
-              f"{config.run_minutes:g} min each, {workers} worker(s)")
-    else:
-        print(f"{len(seeds)} replicates (seeds {seeds[0]}..{seeds[-1]}) "
-              f"in {jobs} lockstep group(s) of up to "
-              f"{config.lockstep_batch}, {config.run_minutes:g} min each, "
-              f"{workers} worker(s)")
+    print(f"{len(seeds)} replicates (seeds {seeds[0]}..{seeds[-1]}), "
+          f"{config.run_minutes:g} min each, {workers} worker(s)")
     result = run_sweep(config, workers=workers, timeout_s=args.timeout_s,
-                       progress=ProgressPrinter(jobs),
+                       progress=ProgressPrinter(len(seeds)),
                        telemetry_dir=args.telemetry, trace=args.trace)
     report = render_sweep_report(result)
     print()
@@ -803,24 +765,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if args.strict:
             return 1
     return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import main as bench_main
-
-    forwarded = ["--trial", args.trial, "--output", args.output,
-                 "--repeat", str(args.repeat),
-                 "--workers", str(args.workers)]
-    if args.no_macro:
-        forwarded.append("--no-macro")
-    if args.grid:
-        forwarded.extend(["--grid", args.grid,
-                          "--grid-seeds", str(args.grid_seeds)])
-    if args.obs:
-        forwarded.append("--obs")
-    if args.telemetry:
-        forwarded.extend(["--telemetry", args.telemetry])
-    return bench_main(forwarded)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -953,11 +897,15 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["bench"]:
+        from repro.bench import main as bench_main
+        return bench_main(argv[1:])
     args = build_parser().parse_args(argv)
     handlers = {"run": cmd_run, "scenarios": cmd_scenarios,
                 "controllers": cmd_controllers, "bakeoff": cmd_bakeoff,
                 "cop": cmd_cop, "lifetime": cmd_lifetime,
-                "bench": cmd_bench, "campaign": cmd_campaign,
+                "campaign": cmd_campaign,
                 "sweep": cmd_sweep, "chaos": cmd_chaos,
                 "trace": cmd_trace, "status": cmd_status}
     return handlers[args.command](args)

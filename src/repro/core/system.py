@@ -130,12 +130,6 @@ class BubbleZero:
         self._comfort_breached = [False] * self.topology.zone_count
         self._dew_breached = [False] * self.topology.panel_count
         self._started = False
-        # Lockstep batch driver (repro.runtime.lockstep): when attached,
-        # this system becomes the *master* of a replica batch — its event
-        # schedule is unchanged, but every physics gap and control step
-        # is mirrored to the driver, which advances the other replicas
-        # on the identical timeline.
-        self._lockstep = None
         self.supervisor = self._build_supervisor()
 
     # ------------------------------------------------------------------
@@ -276,20 +270,6 @@ class BubbleZero:
             unit.airbox.set_coil_pump_voltage(command.coil_pump_voltage)
             unit.airbox.set_fan_flow_demand(command.fan_flow_demand_m3s)
             unit.flap.command(command.flap_open)
-        if self._lockstep is not None:
-            self._lockstep.on_control(now)
-
-    def attach_lockstep(self, driver) -> None:
-        """Make this system the master of a lockstep replica batch.
-
-        ``driver`` (see :mod:`repro.runtime.lockstep`) receives
-        ``on_gap(now, ticks, dt)`` after every physics firing and
-        ``on_control(now)`` after every direct control step, in exactly
-        the order the master executes them, so the replica batch shares
-        the master's event timeline without scheduling any events of
-        its own.
-        """
-        self._lockstep = driver
 
     def _build_supervisor(self):
         """Register every controller with a shared supervisor, so
@@ -461,8 +441,6 @@ class BubbleZero:
         else:
             self.plant.macro_step(now, k, dt)
             self.physics_macro_steps += 1
-        if self._lockstep is not None:
-            self._lockstep.on_gap(now, k, dt)
         self._physics_last = now
         self._commit_physics()
 
@@ -491,8 +469,6 @@ class BubbleZero:
         else:
             self.plant.macro_step(now, k, dt)
             self.physics_macro_steps += 1
-        if self._lockstep is not None:
-            self._lockstep.on_gap(now, k, dt)
         self._physics_last = self._physics_last + k * dt
         self._commit_physics()
 
@@ -515,8 +491,6 @@ class BubbleZero:
                 trace.record(f"panel/{p}/surface", now,
                              loop.last_result.surface_temp_c)
         self._slo_probe(now)
-        if self._lockstep is not None:
-            self._lockstep.on_record(now)
 
     def _slo_probe(self, now: float) -> None:
         """Emit comfort/dew breach transitions on the recorder grid.

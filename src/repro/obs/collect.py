@@ -187,8 +187,8 @@ def health_snapshot(system) -> Dict[str, object]:
         "macro_gaps": gaps,
         "macro_fallbacks": room.macro_fallbacks,
         "fallback_rate": (room.macro_fallbacks / gaps) if gaps else 0.0,
-        # Process-wide spectral cache (shared across scalar, SoA and
-        # lockstep paths), not a per-room cache.
+        # Process-wide spectral cache (shared by the scalar and SoA
+        # paths), not a per-room cache.
         "spectral_hits": spectral_stats["hits"],
         "spectral_misses": spectral_stats["misses"],
         "spectral_evictions": spectral_stats["evictions"],

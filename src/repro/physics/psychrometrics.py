@@ -339,16 +339,17 @@ def condensation_occurs(surface_temp_c: float, air_temp_c: float,
 
 
 # ---------------------------------------------------------------------------
-# Array-accepting variants (vectorized physics / lockstep batch lane)
+# Array-accepting variants
 # ---------------------------------------------------------------------------
 # These evaluate the exact formulas elementwise with numpy ufuncs.  They
 # intentionally do NOT reproduce the scalar layer's memo-key rounding:
 # np.round and Python's round() disagree in the last ulp for some values
 # (see DESIGN.md §11), so emulating the quantisation would *add*
-# divergence sources, not remove them.  Consumers that need bit-for-bit
-# agreement with the scalar path (the per-zone SoA kernel) keep calling
-# the scalar functions; consumers that accept ~1e-12 relative divergence
-# (the `[batch, zone]` lockstep lane, analysis sweeps) use these.
+# divergence sources, not remove them.  Code that needs bit-for-bit
+# agreement with the scalar path (the per-zone SoA kernel) calls the
+# scalar functions, so no physics path calls these today.  They stay
+# because the benchmark's psychrometrics timing seam resolves each of
+# them by name and fails to install if one is missing.
 
 def saturation_vapor_pressure_array(temp_c: np.ndarray) -> np.ndarray:
     """Elementwise :func:`saturation_vapor_pressure` (exact, unrounded)."""

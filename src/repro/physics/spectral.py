@@ -6,13 +6,12 @@ where ``B`` (the symmetric inter-zone coupling pattern) and ``s`` (the
 per-row thermal capacity / water mass / air volume scaling) are fixed
 for the life of a room and only the diagonal-loss vector ``d`` follows
 the actuation pattern.  Steady operation therefore revisits a handful
-of distinct ``d`` vectors thousands of times — and before this module,
-three call sites each kept (or skipped) their own memo: the scalar
-:class:`~repro.physics.room.Room`, the SoA
-:class:`~repro.physics.vector.BatchGapSolver` (which decomposed every
-gap from scratch) and the lockstep batch lane.
+of distinct ``d`` vectors thousands of times.
 
-This module is the one shared LRU they all key into.
+This module is the one shared LRU every
+:class:`~repro.physics.room.Room` keys into, on either physics path:
+the SoA :class:`~repro.physics.vector.VectorPlantKernel` hands its
+gaps to :meth:`Room.macro_step` too.
 
 Cache key contract
 ------------------
@@ -64,7 +63,7 @@ import numpy as np
 SOLVERS = ("dense", "structured")
 
 # LRU budgets.  256 entries covers every steady-state actuation pattern
-# of a large sweep batch with room to spare; the byte budget is what
+# of a many-zone run with room to spare; the byte budget is what
 # actually binds on 512/1024-zone grids.
 DEFAULT_MAX_ENTRIES = 256
 DEFAULT_MAX_BYTES = 768 * 1024 * 1024

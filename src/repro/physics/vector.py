@@ -29,9 +29,6 @@ This module keeps the *numbers* of the scalar path and restructures the
   closed-form eigensolve the scalar path already uses
   (:meth:`Room.macro_step`), so clamp-binding regimes fall back to
   per-tick integration *exactly* as the reference does.
-* :class:`BatchGapSolver` stacks the macro gaps of many same-topology
-  rooms into one ``[batch, 3, n, n]`` eigensolve for sweep/bench
-  workloads that replicate a scenario across seeds.
 
 Bit-exactness contract: every floating-point expression below repeats
 the grouping of the scalar component it replaces (``plant.py``,
@@ -52,7 +49,6 @@ import numpy as np
 from repro.airside.airbox import AirboxOutput
 from repro.hydronics.panel import PanelResult
 from repro.hydronics.water import WATER_CP, mass_flow
-from repro.physics import spectral
 from repro.physics.psychrometrics import (
     dew_point_from_humidity_ratio,
     humidity_ratio_from_dew_point,
@@ -68,9 +64,7 @@ from repro.physics.room import (
     Room,
     Subspace,
     SubspaceInputs,
-    SubspaceState,
 )
-from repro.physics.weather import OutdoorState
 
 # plant.py imports this module only lazily (inside ``Plant.__init__``),
 # so pulling its constant here cannot cycle.
@@ -888,101 +882,3 @@ class VectorPlantKernel:
                 co2s[i] = new_co2
             remaining -= sub_dt
 
-
-class BatchGapSolver:
-    """Macro-step many same-topology rooms off the shared spectral cache.
-
-    Sweep and bench campaigns replicate one scenario across seeds; each
-    replica's macro gap assembles an independent ``(3, n, n)`` linear
-    system.  The rooms share their structure hash (validated here), so
-    every gap resolves through :mod:`repro.physics.spectral`: replicas
-    whose actuation pattern matches — or matches any earlier gap of any
-    room — reuse one decomposition instead of re-factorising, and the
-    per-gap work collapses to small matmuls.  The propagation repeats
-    :meth:`Room._solve_macro_gap`'s expressions on the same cached
-    arrays, so results are bit-identical to the scalar path, and any
-    room whose trajectory touches a clamp floor falls back to its own
-    per-tick :meth:`Room.step`, exactly like the single-room path.
-    """
-
-    def __init__(self, rooms: Sequence[Room]) -> None:
-        if not rooms:
-            raise ValueError("need at least one room")
-        base = rooms[0]._macro_base
-        scale = rooms[0]._macro_scale
-        key = rooms[0]._macro_key
-        for room in rooms[1:]:
-            if room._macro_key != key:
-                raise ValueError(
-                    "batched rooms must share topology, parameters "
-                    "and solver")
-        self.rooms = list(rooms)
-        self._base = base
-        self._scale = scale
-        self._key = key
-        self._solver = rooms[0]._solver
-
-    def macro_step(self, dt: float, outdoors: Sequence[OutdoorState],
-                   inputs_batch: Sequence[Sequence[SubspaceInputs]]
-                   ) -> List[bool]:
-        """Advance every room ``dt`` seconds in lockstep.
-
-        Returns one flag per room: True when that room was integrated
-        per tick (clamp fallback or degenerate algebra) instead of in
-        closed form.
-        """
-        rooms = self.rooms
-        b = len(rooms)
-        if len(outdoors) != b or len(inputs_batch) != b:
-            raise ValueError(
-                "need one outdoor state and one input set per room")
-        n = len(rooms[0].subspaces)
-        x0 = np.empty((b, 3, n))
-        diag = np.empty((b, 3, n))
-        rhs = np.empty((b, 3, n))
-        for k, room in enumerate(rooms):
-            if len(inputs_batch[k]) != n:
-                raise ValueError(
-                    f"room {k} expects {n} subspace inputs, "
-                    f"got {len(inputs_batch[k])}")
-            x0[k], diag[k], rhs[k] = room._assemble_macro(
-                outdoors[k], inputs_batch[k])
-        rhs = rhs / self._scale
-        fallback = [False] * b
-        for k, room in enumerate(rooms):
-            decomp = spectral.decomposition(
-                self._key, diag[k], self._base, self._scale, self._solver)
-            if decomp is None:
-                # Degenerate algebra for this replica: hand it to its own
-                # scalar macro path, which sorts out fallback exactly as
-                # if no batching existed.
-                room.macro_step(dt, outdoors[k], inputs_batch[k])
-                fallback[k] = True
-                continue
-            a_inv, vals, vecs, vecs_inv = decomp
-            x_eq = -(a_inv @ rhs[k][..., None])[..., 0]
-            y0 = vecs_inv @ (x0[k] - x_eq)[..., None].astype(vecs.dtype)
-            new_state = ((vecs @ (np.exp(vals * dt)[..., None] * y0))
-                         [..., 0] + x_eq).real
-            mid_state = ((vecs @ (np.exp(vals * (0.5 * dt))[..., None] * y0))
-                         [..., 0] + x_eq).real
-            co2_floor = outdoors[k].co2_ppm * 0.5
-            room.macro_gaps += 1
-            if (new_state[1].min() < 1e-5
-                    or mid_state[1].min() < 1e-5
-                    or x0[k, 1].min() <= 1e-5
-                    or new_state[2].min() < co2_floor
-                    or mid_state[2].min() < co2_floor
-                    or x0[k, 2].min() <= co2_floor):
-                room.macro_fallbacks += 1
-                room.step(dt, outdoors[k], inputs_batch[k])
-                fallback[k] = True
-                continue
-            for i, subspace in enumerate(room.subspaces):
-                # float() for the same reason Room.macro_step uses it:
-                # np.float64 must not leak into live state (round() on
-                # numpy scalars perturbs the psychrometrics memo keys).
-                subspace.state = SubspaceState(float(new_state[0, i]),
-                                               float(new_state[1, i]),
-                                               float(new_state[2, i]))
-        return fallback

@@ -61,7 +61,6 @@ from repro.runtime.progress import (
     emit,
 )
 from repro.runtime.spec import (
-    BatchRunResult,
     RunFailure,
     RunResult,
     RunSpec,
@@ -73,7 +72,7 @@ DEFAULT_START_METHOD = "spawn"
 # How long the multiplex wait may block between liveness checks.
 _POLL_S = 0.25
 
-RunPayload = Union[RunResult, BatchRunResult, RunFailure]
+RunPayload = Union[RunResult, RunFailure]
 
 
 def default_worker_count(n_tasks: Optional[int] = None) -> int:

@@ -63,13 +63,6 @@ class RunSpec:
     # ``telemetry``.  Off by default — spans are opt-in per
     # invocation (--trace).
     trace: bool = False
-    # When non-empty, the spec is one lockstep *group*: the scenario is
-    # replicated across these seeds and driven through a single
-    # :class:`~repro.runtime.lockstep.LockstepBatch`, and execute_spec
-    # returns a :class:`BatchRunResult` (one RunResult per seed) instead
-    # of a single RunResult.  The first seed is the bit-exact master
-    # lane; the scenario's own seed is ignored.
-    lockstep_seeds: Tuple[int, ...] = ()
 
     def __init__(self, label: str,
                  scenario: Optional[ScenarioSpec] = None, *,
@@ -80,8 +73,7 @@ class RunSpec:
                  warmup_minutes: Optional[float] = None,
                  inject: Optional[str] = None,
                  telemetry: bool = False,
-                 trace: bool = False,
-                 lockstep_seeds: Tuple[int, ...] = ()) -> None:
+                 trace: bool = False) -> None:
         if scenario is None:
             if config is None:
                 raise TypeError("RunSpec needs a scenario or a config")
@@ -106,7 +98,6 @@ class RunSpec:
         object.__setattr__(self, "inject", inject)
         object.__setattr__(self, "telemetry", telemetry)
         object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "lockstep_seeds", tuple(lockstep_seeds))
 
     # Delegates kept for the wide pre-scenario call surface.
     @property
@@ -146,22 +137,6 @@ class RunResult:
     # spec requested telemetry; None otherwise.  Plain JSON-safe dicts,
     # so the result stays picklable under spawn.
     obs: Optional[Dict[str, object]] = None
-
-
-@dataclass(frozen=True)
-class BatchRunResult:
-    """One lockstep group's payload: a RunResult per replicated seed.
-
-    ``results[0]`` is the master lane and is byte-identical to the
-    RunResult a solo ``execute_spec`` of the same seed would return
-    (minus wall-clock); the rest are replica-lane results within the
-    documented lockstep tolerance.  ``label``/``wall_s`` mirror
-    RunResult's so the pool's progress accounting works unchanged.
-    """
-
-    label: str
-    results: Tuple[RunResult, ...]
-    wall_s: float
 
 
 @dataclass(frozen=True)
@@ -226,8 +201,6 @@ def paper_metrics(system, outcome: RunOutcome) -> Dict[str, float]:
 def execute_spec(spec: RunSpec, attempt: int = 0) -> RunResult:
     """Build, run and summarise one spec — the worker's whole job."""
     _apply_injection(spec.inject, attempt)
-    if spec.lockstep_seeds:
-        return _execute_lockstep(spec)
     obs = None
     if spec.telemetry or spec.trace:
         from repro.obs import create_observability
@@ -254,49 +227,6 @@ def execute_spec(spec: RunSpec, attempt: int = 0) -> RunResult:
         clearance_time=clearance,
         obs=obs_data,
     )
-
-
-def _execute_lockstep(spec: RunSpec) -> "BatchRunResult":
-    """Run one lockstep group and summarise every lane.
-
-    The master lane (first seed) runs the full event loop, so its
-    outcome, metrics and discrete hash match a solo run of the same
-    seed byte-for-byte; replicas are advanced in lockstep and
-    summarised from their written-back state and mirrored traces.
-    Telemetry, when requested, observes the master only — replicas
-    never dispatch events of their own.
-    """
-    from repro.runtime.lockstep import LockstepBatch
-
-    obs = None
-    if spec.telemetry or spec.trace:
-        from repro.obs import create_observability
-        obs = create_observability(trace=spec.trace)
-    t0 = time.perf_counter()
-    batch = LockstepBatch(spec.scenario, spec.lockstep_seeds, obs=obs)
-    batch.run(minutes=spec.run_minutes)
-    wall_s = time.perf_counter() - t0
-    results = []
-    for k, (seed, system) in enumerate(zip(batch.seeds, batch.systems)):
-        label = f"seed-{seed}"
-        outcome = summarize_run(system, label, clearance_time=None,
-                                warmup_s=spec.warmup_minutes * 60.0)
-        obs_data = None
-        if k == 0 and obs is not None:
-            from repro.obs.collect import obs_payload
-            obs_data = obs_payload(system, obs)
-        results.append(RunResult(
-            label=label,
-            outcome=outcome,
-            discrete_hash=discrete_log_hash(system),
-            metrics=paper_metrics(system, outcome),
-            wall_s=wall_s,
-            sim_s=spec.run_minutes * 60.0,
-            events=system.sim.events_dispatched,
-            clearance_time=None,
-            obs=obs_data,
-        ))
-    return BatchRunResult(spec.label, tuple(results), wall_s)
 
 
 def _apply_injection(inject: Optional[str], attempt: int) -> None:

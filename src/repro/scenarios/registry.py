@@ -298,8 +298,7 @@ def _register_all() -> None:
         run_minutes=30.0))
 
     # Direct-mode grid trials behind the vectorized-core scaling bench
-    # (`repro bench --grid`) and the lockstep seed-replication lane
-    # (repro.runtime.lockstep).  Tropical weather makes the seed reach
+    # (`repro bench --grid`).  Tropical weather makes the seed reach
     # the physics, so replicated seeds produce distinct trajectories
     # even without the network stack's sensor-noise RNG.
     # The 512/1024-zone entries opt into the structured eigh solver

@@ -51,7 +51,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.slo import SloBudgets, SloReport, score_run
+from repro.analysis.slo import (
+    SloBudgets,
+    SloReport,
+    payload_events,
+    score_run,
+)
 from repro.scenarios.topology import SystemTopology
 from repro.workloads.faults import (
     ChannelJam,
@@ -370,6 +375,8 @@ class ChaosRun:
     seed: int
     controller: str
     discrete_hash: str
+    # Always 0: ``payload_events`` rejects a truncated event log.  Kept
+    # so the chaos JSON report keeps its bytes.
     events_dropped: int
     faults_scheduled: int
     report: SloReport
@@ -517,10 +524,7 @@ def merge_chaos(config: ChaosConfig,
         if isinstance(payload, RunFailure):
             result.failures.append(payload)
             continue
-        if payload.obs is None:
-            raise ValueError(f"run {label!r} returned no telemetry; "
-                             "chaos specs must set telemetry=True")
-        events = list(payload.obs["events"])
+        events = payload_events(payload, label)
         trace_payload = payload.obs.get("trace")
         ages = None
         if trace_payload is not None:

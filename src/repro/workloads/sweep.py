@@ -23,12 +23,7 @@ from repro.core.config import BubbleZeroConfig, NetworkConfig
 from repro.obs.events import EventLog
 from repro.obs.manifest import build_manifest
 from repro.runtime.pool import RunPayload
-from repro.runtime.spec import (
-    BatchRunResult,
-    RunFailure,
-    RunResult,
-    RunSpec,
-)
+from repro.runtime.spec import RunFailure, RunResult, RunSpec
 from repro.scenarios.registry import get_scenario
 
 
@@ -44,12 +39,6 @@ class SweepConfig:
     fixed_tx: bool = False
     # Decision law for every replicate (see repro.control.policy).
     controller: str = "pid"
-    # Shard the seeds into consecutive groups of this size, each run as
-    # one :class:`~repro.runtime.lockstep.LockstepBatch` (first seed of
-    # a group = bit-exact master lane, the rest replica lane).  Groups
-    # still fan out over the process pool, so it composes with
-    # ``workers``.  None = one independent run per seed (the default).
-    lockstep_batch: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.seeds:
@@ -65,19 +54,6 @@ class SweepConfig:
             raise ValueError(
                 f"unknown controller {self.controller!r}; known: "
                 f"{', '.join(sorted(controller_names()))}")
-        if self.lockstep_batch is not None:
-            if self.lockstep_batch < 2:
-                raise ValueError("lockstep batch must be at least 2 seeds")
-            if not self.direct:
-                raise ValueError(
-                    "lockstep batching requires a direct (wired) sweep")
-            if self.script != "none":
-                raise ValueError(
-                    "lockstep batching requires a scriptless sweep")
-            if self.controller != "pid":
-                raise ValueError(
-                    "lockstep batching transcribes the reference pid "
-                    "law; run other controllers unbatched")
 
 
 @dataclass
@@ -106,7 +82,6 @@ class SweepResult:
             "direct": self.config.direct,
             "fixed_tx": self.config.fixed_tx,
             "controller": self.config.controller,
-            "lockstep_batch": self.config.lockstep_batch,
             "runs": [
                 {
                     "label": run.label,
@@ -124,14 +99,11 @@ class SweepResult:
 def sweep_specs(config: SweepConfig,
                 telemetry: bool = False,
                 trace: bool = False) -> List[RunSpec]:
-    """One spec per seed — or per lockstep group — in seed order.
+    """One spec per seed, in seed order.
 
     Every replicate is the registry's ``sweep-default`` scenario with
     the per-seed config and the sweep's trial-shape overrides swapped
-    in, so the sweep and the registry can never drift apart.  With
-    ``lockstep_batch`` set, consecutive seeds are sharded into groups
-    of that size and each group becomes one lockstep RunSpec (a
-    trailing group of one seed degrades to a plain solo spec).
+    in, so the sweep and the registry can never drift apart.
     """
     base = get_scenario("sweep-default")
     network = NetworkConfig(
@@ -147,30 +119,12 @@ def sweep_specs(config: SweepConfig,
             run_minutes=config.run_minutes,
             warmup_minutes=config.warmup_minutes)
 
-    if config.lockstep_batch is None:
-        return [
-            RunSpec(label=f"seed-{seed}",
-                    scenario=scenario_for(seed, f"seed-{seed}"),
-                    telemetry=telemetry, trace=trace)
-            for seed in config.seeds
-        ]
-    size = config.lockstep_batch
-    specs: List[RunSpec] = []
-    for start in range(0, len(config.seeds), size):
-        group = config.seeds[start:start + size]
-        if len(group) == 1:
-            specs.append(RunSpec(
-                label=f"seed-{group[0]}",
-                scenario=scenario_for(group[0], f"seed-{group[0]}"),
-                telemetry=telemetry, trace=trace))
-            continue
-        label = f"seeds-{group[0]}-{group[-1]}"
-        specs.append(RunSpec(
-            label=label,
-            scenario=scenario_for(group[0], label),
-            telemetry=telemetry, trace=trace,
-            lockstep_seeds=tuple(group)))
-    return specs
+    return [
+        RunSpec(label=f"seed-{seed}",
+                scenario=scenario_for(seed, f"seed-{seed}"),
+                telemetry=telemetry, trace=trace)
+        for seed in config.seeds
+    ]
 
 
 def sweep_manifest(config: SweepConfig) -> Dict[str, object]:
@@ -185,34 +139,23 @@ def sweep_manifest(config: SweepConfig) -> Dict[str, object]:
             "direct": config.direct,
             "fixed_tx": config.fixed_tx,
             "controller": config.controller,
-            "lockstep_batch": config.lockstep_batch,
         },
         seed=config.seeds[0],
         extra={"controller": config.controller})
-
-
-def _expected_payloads(config: SweepConfig) -> int:
-    if config.lockstep_batch is None:
-        return len(config.seeds)
-    return math.ceil(len(config.seeds) / config.lockstep_batch)
 
 
 def merge_sweep(config: SweepConfig,
                 payloads: Sequence[RunPayload]) -> SweepResult:
     """Fold executor payloads (in :func:`sweep_specs` order) into a
     result; failed replicates become structured failure rows and are
-    excluded from the aggregates.  Lockstep group payloads
-    (:class:`BatchRunResult`) are flattened into their per-seed rows,
-    preserving seed order."""
-    if len(payloads) != _expected_payloads(config):
-        raise ValueError(f"expected {_expected_payloads(config)} payloads, "
+    excluded from the aggregates."""
+    if len(payloads) != len(config.seeds):
+        raise ValueError(f"expected {len(config.seeds)} payloads, "
                          f"got {len(payloads)}")
     result = SweepResult(config=config)
     for payload in payloads:
         if isinstance(payload, RunFailure):
             result.failures.append(payload)
-        elif isinstance(payload, BatchRunResult):
-            result.runs.extend(payload.results)
         else:
             result.runs.append(payload)
     return result
@@ -260,8 +203,8 @@ def run_sweep(config: SweepConfig,
     ``telemetry_dir`` enables per-replicate observability and writes
     the artifact directory described in :mod:`repro.obs.status`;
     metrics and hashes are identical with telemetry on or off.
-    ``trace`` additionally enables causal tracing per replicate
-    (master lane only for lockstep groups), adding ``trace.jsonl``.
+    ``trace`` additionally enables causal tracing per replicate,
+    adding ``trace.jsonl``.
     """
     from repro.runtime.pool import run_specs
 
@@ -275,16 +218,8 @@ def run_sweep(config: SweepConfig,
     result.manifest = sweep_manifest(config)
     if telemetry:
         from repro.obs.status import write_run_telemetry
-        obs_payloads = {}
-        for payload in payloads:
-            if isinstance(payload, RunFailure):
-                continue
-            if isinstance(payload, BatchRunResult):
-                # The group's observability watched the master lane
-                # only; file it under the group label.
-                obs_payloads[payload.label] = payload.results[0].obs
-            else:
-                obs_payloads[payload.label] = payload.obs
+        obs_payloads = {payload.label: payload.obs for payload in payloads
+                        if not isinstance(payload, RunFailure)}
         write_run_telemetry(telemetry_dir, result.manifest,
                             [spec.label for spec in specs], obs_payloads,
                             pool_events.records)

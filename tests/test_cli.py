@@ -106,6 +106,23 @@ class TestCopCommand:
         assert "improvement over AirCon" in out
 
 
+class TestBenchCommand:
+    def test_forwards_argv_verbatim(self, monkeypatch):
+        import repro.bench
+
+        seen = []
+
+        def fake_main(argv):
+            seen.append(argv)
+            return 5
+
+        monkeypatch.setattr(repro.bench, "main", fake_main)
+        argv = ["--trial", "hvac", "--parallel-runs", "2", "--workers",
+                "2", "--baseline", "none.json", "-o", "out.json"]
+        assert main(["bench", *argv]) == 5
+        assert seen == [argv]
+
+
 class TestCampaignCommand:
     def test_only_filters_cells(self, capsys, tmp_path):
         json_path = tmp_path / "campaign.json"

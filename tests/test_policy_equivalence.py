@@ -20,7 +20,6 @@ import dataclasses
 import pytest
 
 from repro.analysis.fingerprint import discrete_log_hash
-from repro.runtime.lockstep import LockstepBatch
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import prepare_run
 
@@ -29,8 +28,7 @@ from repro.scenarios.spec import prepare_run
 PAPER_LAB_15MIN = (
     "375bba20826e360ea679cb78c0e263acf15fcfa00bc14b306804d57ec33e0af8")
 # Discrete-log hash of 5 minutes of the direct-mode 4-zone grid
-# (grid-4, seed 7), captured pre-refactor.  The lockstep master lane
-# must reproduce it bit-for-bit as well.
+# (grid-4, seed 7), captured pre-refactor.
 GRID4_5MIN = (
     "6c1a156e1f9d7bed7da0b2e413b306f897b1d8d7267fce1d859c1b37a76caebe")
 
@@ -75,13 +73,6 @@ class TestPidPinnedHashes:
         # default — the axis itself must move nothing.
         assert _run_hash("grid-4", 5.0, controller="pid") == GRID4_5MIN
 
-    def test_lockstep_master_lane_is_bit_exact(self):
-        spec = dataclasses.replace(get_scenario("grid-4"),
-                                   run_minutes=5.0)
-        batch = LockstepBatch(spec, [7, 11])
-        batch.run(minutes=5.0)
-        assert discrete_log_hash(batch.master) == GRID4_5MIN
-
 
 class TestAlternateStacksActuallyDiffer:
     """Guard against the axis silently not being wired: the alternate
@@ -101,9 +92,3 @@ class TestAlternateStacksActuallyDiffer:
                           controller="deadband")
                 != _run_hash("golden-network-vc", 25.0))
 
-    def test_lockstep_rejects_non_pid_controllers(self):
-        spec = dataclasses.replace(get_scenario("grid-4"),
-                                   run_minutes=5.0,
-                                   controller="deadband")
-        with pytest.raises(ValueError, match="pid"):
-            LockstepBatch(spec, [7, 11])

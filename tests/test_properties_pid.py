@@ -11,7 +11,7 @@ harder than the scripted cases in test_pid.py.
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from repro.control.pid import PIDController, PIDGains  # noqa: E402
 
@@ -80,17 +80,33 @@ class TestAntiWindup:
         assert min(outputs) == 0.0
 
     @given(gains=GAINS, measurements=MEASUREMENTS, dt=DTS)
+    @example(gains=PIDGains(kp=0.0, ki=0.015, kd=5.0),
+             measurements=[-75.0, -62.0, -74.0, -48.0], dt=9.0)
     def test_integral_never_exceeds_expressible_range(self, gains,
                                                       measurements, dt):
         """Whatever the input sequence, the stored integral stays within
-        one step of the clamp band (it only grows while the output is
-        inside or moving inward)."""
+        one step plus the largest derivative kick of the clamp band.
+
+        It only grows while the output is inside or moving inward.  An
+        accepted step leaves ``P + I + D`` inside the band with ``P``
+        of the step's own sign, so ``I`` can overshoot the band by at
+        most that step's ``|D|``: the derivative on measurement can pull
+        the sum back into the band while the integral sits outside it.
+        The pinned example leaves I=16.2, past high + one step = 16.175,
+        with a last kick of 14.4.
+        """
         low, high = -1.0, 2.0
         pid = PIDController(gains, output_limits=(low, high), setpoint=5.0)
         max_step = gains.ki * (5.0 + 100.0) * dt
+        kick = 0.0
+        prev = None
         for measurement in measurements:
             pid.update(measurement, dt)
-            assert low - max_step <= pid._integral <= high + max_step
+            if prev is not None:
+                kick = max(kick, abs(gains.kd * ((measurement - prev) / dt)))
+            prev = measurement
+            slack = max_step + kick
+            assert low - slack <= pid._integral <= high + slack
 
 
 class TestStateHygiene:

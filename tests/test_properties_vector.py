@@ -2,33 +2,25 @@
 
 Three families of invariants back the SoA rewrite:
 
-* **Batch-vs-loop identity** — the batched transcriptions in
-  :mod:`repro.runtime.lockstep` (`_tank_tick_batch`, `_batch_pid`) must
-  reproduce their scalar originals bit for bit on every row, because
-  they use the same elementwise expressions just lifted over an axis.
 * **First-law ledgers** — a tank tick may move energy between the
   ambient-gain, chiller and temperature accounts but never create it:
   ``C·ΔT == Δgain − Δmoved`` to round-off.
-* **Monotone cooling** — the dehumidifier coil relation the batch
+* **Monotone cooling** — the dehumidifier coil relation the SoA kernel
   transcribes is monotone in water flow and never humidifies.
+* **Clamp fallback** — a macro gap whose trajectory touches a floor
+  runs on the per-tick integrator, bit for bit.
 
 Hypothesis sweeps the operating envelope so clamp edges (chiller
-capacity, coil saturation, PID anti-windup) get hit, not hand-picked.
+capacity, coil saturation, humidity floor) get hit, not hand-picked.
 """
 
-import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
 from repro.airside.coil import DehumidifierCoil  # noqa: E402
-from repro.control.pid import PIDController, PIDGains  # noqa: E402
 from repro.physics.vector import _tank_tick  # noqa: E402
-from repro.runtime.lockstep import (  # noqa: E402
-    _batch_pid,
-    _tank_tick_batch,
-)
 
 TANK_TEMPS = st.floats(min_value=2.0, max_value=40.0)
 AMBIENTS = st.floats(min_value=15.0, max_value=40.0)
@@ -63,51 +55,8 @@ class TestTankFirstLaw:
             assert not st_[4]
 
 
-class TestTankBatchIdentity:
-    @given(data=st.data(), rows=st.integers(min_value=1, max_value=6))
-    def test_batch_matches_scalar_loop(self, data, rows):
-        temps = np.array([data.draw(TANK_TEMPS) for _ in range(rows)])
-        ambient = np.array([data.draw(AMBIENTS) for _ in range(rows)])
-        chilling = np.array(
-            [data.draw(st.booleans()) for _ in range(rows)])
-        mass, hi, lo, cap, par, cop = (150.0 * 4186.0, 19.0, 18.0,
-                                       2000.0, 30.0, 3.0)
-        zeros = np.zeros(rows)
-        batch = _tank_tick_batch(
-            temps.copy(), zeros.copy(), zeros.copy(), zeros.copy(),
-            chilling.copy(), zeros.copy(), zeros.copy(),
-            1.0, ambient, 8.0, mass, hi, lo, cap, par, cop)
-        for r in range(rows):
-            st_ = [temps[r], 0.0, 0.0, 0.0, bool(chilling[r]), 0.0, 0.0]
-            _tank_tick(st_, 1.0, float(ambient[r]), 8.0, mass,
-                       hi, lo, cap, par, cop)
-            assert batch[0][r] == st_[0]          # temp, bit-exact
-            assert bool(batch[4][r]) == st_[4]    # chilling flag
-            assert batch[5][r] == st_[5]          # chiller energy
-            assert batch[6][r] == st_[6]          # heat moved
-
-
-class TestBatchPidIdentity:
-    @given(meas=st.lists(st.floats(min_value=-5.0, max_value=5.0),
-                         min_size=1, max_size=30),
-           kp=st.floats(min_value=0.0, max_value=2.0),
-           ki=st.floats(min_value=0.0, max_value=0.5),
-           kd=st.floats(min_value=0.0, max_value=0.5))
-    def test_matches_scalar_controller(self, meas, kp, ki, kd):
-        lo, hi = 0.0, 1.0
-        scalar = PIDController(PIDGains(kp=kp, ki=ki, kd=kd),
-                               output_limits=(lo, hi), setpoint=0.0)
-        integral = np.zeros(1)
-        last = np.full(1, np.nan)
-        for m in meas:
-            want = scalar.update(m, dt=10.0)
-            integral, last, out = _batch_pid(
-                integral, last, np.array([m]), 10.0, kp, ki, kd, lo, hi)
-            assert out[0] == want
-
-
 class TestMonotoneCooling:
-    """The coil relation the (R, n) tick transcribes, as properties."""
+    """The coil relation the SoA tick transcribes, as properties."""
 
     def _coil(self):
         return DehumidifierCoil("coil", water_temp_c=8.0)

@@ -7,6 +7,8 @@ the log, breaches still open at the horizon, and recoveries that are
 never observed.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.slo import (
@@ -14,6 +16,7 @@ from repro.analysis.slo import (
     SloBudgets,
     fault_recoveries,
     paired_intervals,
+    payload_events,
     score_run,
     tier_intervals,
     union_intervals,
@@ -281,3 +284,37 @@ def test_report_rows_validate_and_reject_drift():
     missing = dict(rows[-1])
     del missing["faults"]
     assert any("missing" in p for p in validate_report_rows([missing]))
+
+
+def _payload(dropped, events=()):
+    """A run payload as the pool ships it, reduced to what scorers read."""
+    return SimpleNamespace(
+        obs={"events": list(events), "dropped_events": dropped},
+        metrics={}, discrete_hash="0" * 64)
+
+
+def test_payload_events_returns_a_complete_log():
+    records = [comfort(COMFORT_BREACH, 100.0)]
+    assert payload_events(_payload(0, records), "ok") == records
+    with pytest.raises(ValueError, match="no telemetry"):
+        payload_events(SimpleNamespace(obs=None), "blind")
+
+
+def test_bakeoff_scorer_rejects_a_truncated_log():
+    from repro.analysis.bakeoff import score_payload
+
+    with pytest.raises(ValueError, match="'pid/seed-7' dropped 3"):
+        score_payload(_payload(3), label="pid/seed-7", controller="pid",
+                      scenario="paper-lab", seed=7, t0=0.0,
+                      horizon_s=900.0, window_s=300.0, budgets=BUDGETS,
+                      warmup_s=0.0)
+
+
+def test_chaos_merge_rejects_a_truncated_log():
+    from repro.workloads.chaos import ChaosConfig, merge_chaos
+
+    config = ChaosConfig(scenario="chaos-quick", hours=0.2, seeds=(1,),
+                         controllers=("adaptive",), window_minutes=3.0,
+                         warmup_minutes=3.0)
+    with pytest.raises(ValueError, match="'adaptive/seed-1' dropped 3"):
+        merge_chaos(config, [_payload(3)])

@@ -1,8 +1,8 @@
 """Spectral gap-solver cache: exactness, eviction, large-grid solver.
 
 The process-wide eigendecomposition cache (:mod:`repro.physics.spectral`)
-sits under every macro-gap solve — scalar rooms, the SoA batch solver
-and the lockstep batch all resolve through it.  Its contract is strict:
+sits under every macro-gap solve — scalar rooms and the SoA kernel
+both resolve through it.  Its contract is strict:
 it stores *exact* decompositions keyed on the exact diagonal bytes, so
 enabling, disabling, shrinking or thrashing the cache must never change
 a trajectory by a single bit.  These tests pin that contract on grids

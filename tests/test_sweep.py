@@ -86,6 +86,13 @@ class TestRunSweep:
                    for stats in result.aggregates.values())
         assert result.report_dict()["failures"][0]["label"] == "seed-1"
 
+    def test_report_identical_for_any_worker_count(self):
+        config = SweepConfig(seeds=(1, 2, 3), run_minutes=4.0,
+                             warmup_minutes=1.0, direct=True)
+        one = run_sweep(config, workers=1)
+        two = run_sweep(config, workers=2)
+        assert one.report_dict() == two.report_dict()
+
     def test_merge_rejects_wrong_payload_count(self):
         config = mini_sweep()
         with pytest.raises(ValueError):
@@ -113,92 +120,3 @@ class TestRunSweep:
         assert [r["label"] for r in loaded["runs"]] == ["seed-1", "seed-2"]
         assert loaded["aggregates"].keys() == result.aggregates.keys()
 
-
-def lockstep_sweep(seeds=(1, 2, 3, 4), batch=2):
-    return SweepConfig(seeds=tuple(seeds), run_minutes=4.0,
-                       warmup_minutes=1.0, direct=True,
-                       lockstep_batch=batch)
-
-
-class TestLockstepValidation:
-    def test_rejects_batch_below_two(self):
-        with pytest.raises(ValueError, match="at least 2 seeds"):
-            SweepConfig(seeds=(1, 2), direct=True, lockstep_batch=1)
-
-    def test_requires_direct(self):
-        with pytest.raises(ValueError, match="direct"):
-            SweepConfig(seeds=(1, 2), lockstep_batch=2)
-
-    def test_requires_scriptless(self):
-        with pytest.raises(ValueError, match="scriptless"):
-            SweepConfig(seeds=(1, 2), direct=True, lockstep_batch=2,
-                        script="paper-phase-two")
-
-
-class TestLockstepSpecs:
-    def test_groups_consecutive_seeds(self):
-        specs = sweep_specs(lockstep_sweep(seeds=(1, 2, 3, 4, 5),
-                                           batch=2))
-        assert [s.label for s in specs] == [
-            "seeds-1-2", "seeds-3-4", "seed-5"]
-        assert specs[0].lockstep_seeds == (1, 2)
-        assert specs[1].lockstep_seeds == (3, 4)
-        # A trailing singleton degrades to a plain solo spec.
-        assert specs[2].lockstep_seeds == ()
-
-    def test_group_scenario_uses_first_seed(self):
-        specs = sweep_specs(lockstep_sweep(seeds=(7, 8, 9), batch=3))
-        assert specs[0].config.seed == 7
-        assert not specs[0].config.network.enabled
-
-
-class TestLockstepSweep:
-    def test_master_lanes_byte_identical_to_serial_sweep(self):
-        """The first seed of every lockstep group reproduces the
-        per-seed sweep's report row byte for byte; replica lanes match
-        the per-seed rows' discrete hashes (direct scriptless runs pin
-        the discrete log to condensation events, which lockstep writes
-        back exactly)."""
-        serial_cfg = SweepConfig(seeds=(1, 2, 3, 4), run_minutes=4.0,
-                                 warmup_minutes=1.0, direct=True)
-        serial_rows = run_sweep(serial_cfg).report_dict()["runs"]
-        lock_rows = run_sweep(lockstep_sweep()).report_dict()["runs"]
-        assert [r["label"] for r in lock_rows] == [
-            "seed-1", "seed-2", "seed-3", "seed-4"]
-        for master in (0, 2):
-            assert lock_rows[master] == serial_rows[master]
-        for replica in (1, 3):
-            assert (lock_rows[replica]["discrete_hash"]
-                    == serial_rows[replica]["discrete_hash"])
-
-    def test_report_identical_for_any_worker_count(self):
-        config = lockstep_sweep(seeds=(1, 2, 3, 4, 5), batch=2)
-        one = run_sweep(config, workers=1)
-        two = run_sweep(config, workers=2)
-        assert one.report_dict() == two.report_dict()
-
-    def test_replica_metrics_within_lockstep_tolerance(self):
-        serial_cfg = SweepConfig(seeds=(1, 2, 3, 4), run_minutes=4.0,
-                                 warmup_minutes=1.0, direct=True)
-        serial = {run.label: run for run in run_sweep(serial_cfg).runs}
-        lock = {run.label: run for run in
-                run_sweep(lockstep_sweep()).runs}
-        for label in ("seed-2", "seed-4"):
-            solo, rep = serial[label], lock[label]
-            assert rep.metrics["mean_temp_c"] == pytest.approx(
-                solo.metrics["mean_temp_c"], abs=5e-3)
-            assert rep.metrics["mean_dew_c"] == pytest.approx(
-                solo.metrics["mean_dew_c"], abs=5e-3)
-            assert rep.metrics["energy_j"] == pytest.approx(
-                solo.metrics["energy_j"], rel=1e-2)
-
-    def test_lockstep_manifest_and_report_record_batch(self):
-        from repro.workloads.sweep import sweep_manifest
-
-        result = run_sweep(lockstep_sweep())
-        assert result.report_dict()["lockstep_batch"] == 2
-        # The batch size feeds the provenance hash, so a lockstep sweep
-        # is distinguishable from the per-seed sweep it reproduces.
-        plain = dataclasses.replace(lockstep_sweep(), lockstep_batch=None)
-        assert (result.manifest["config_hash"]
-                != sweep_manifest(plain)["config_hash"])

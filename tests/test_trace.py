@@ -2,8 +2,8 @@
 
 The cardinal rule of :mod:`repro.obs.trace` mirrors the obs one: a
 trace-on run is bit-identical to a blind one — same discrete log hash,
-same trajectory fingerprints, same event count — on the scalar, SoA
-and lockstep lanes.  Beyond bit-identity these tests pin the collector
+same trajectory fingerprints, same event count — on the scalar and
+SoA paths.  Beyond bit-identity these tests pin the collector
 invariants (every span closes, nests under a parent in the same trace,
 never moves backwards in sim time), the byte-determinism of
 trace.jsonl across worker counts, the data-age analytics and the
@@ -11,7 +11,6 @@ trace.jsonl across worker counts, the data-age analytics and the
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -53,7 +52,7 @@ from repro.obs.trace import (
     validate_trace_records,
 )
 from repro.runtime.pool import run_specs
-from repro.runtime.spec import RunSpec, execute_spec
+from repro.runtime.spec import RunSpec
 
 from .golden_trials import GOLDEN_DIR, run_golden_trial
 
@@ -102,24 +101,6 @@ class TestTraceEquivalence:
         npz = load_fingerprint(GOLDEN_DIR / "chaos_quick.npz")
         assert discrete_log_hash(system) == npz["discrete_hash"]
         assert obs.trace.traces_started > 0
-
-    def test_lockstep_master_lane_unperturbed_by_trace(self):
-        from repro.scenarios.registry import get_scenario
-        spec = replace(get_scenario("grid-8"), run_minutes=5.0)
-        solo = replace(spec, config=replace(spec.config, seed=7))
-        blind = execute_spec(RunSpec(label="solo", scenario=solo))
-        batch = execute_spec(RunSpec(label="group", scenario=spec,
-                                     trace=True,
-                                     lockstep_seeds=(7, 8)))
-        master = batch.results[0]
-        assert master.discrete_hash == blind.discrete_hash
-        assert master.events == blind.events
-        # The master lane carries the trace payload; replicas never
-        # do.  Lockstep groups are direct (wired) by construction, so
-        # there is no radio pipeline to trace — the flushed payload is
-        # well-formed but empty.
-        assert master.obs["trace"]["summary"]["traces"] == 0
-        assert batch.results[1].obs is None
 
 
 # ----------------------------------------------------------------------
