@@ -12,8 +12,7 @@ voltage (via PID) and the fan speed step.
 from __future__ import annotations
 
 import math
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.airside.coil import CoilResult, DehumidifierCoil
 from repro.airside.damper import BackdraftDamper
@@ -22,9 +21,12 @@ from repro.hydronics.pump import DCPump, PumpCurve
 from repro.physics.weather import OutdoorState
 
 
-@dataclass(frozen=True, slots=True)
-class AirboxOutput:
-    """Conditioned air delivered to the subspace for one step."""
+class AirboxOutput(NamedTuple):
+    """Conditioned air delivered to the subspace for one step.
+
+    A ``NamedTuple`` rather than a frozen dataclass: one is built per
+    zone per physics tick, and a tuple builds ~3x faster (DESIGN.md §6).
+    """
 
     flow_m3s: float
     supply_temp_c: float
@@ -106,12 +108,7 @@ class Airbox:
         self.coil.integrate(result, dt)
         self.fans.integrate(dt)
         self.coil_pump.integrate(dt)
-        return AirboxOutput(
-            flow_m3s=flow,
-            supply_temp_c=supply_temp,
-            supply_humidity_ratio=result.out_humidity_ratio,
-            supply_dew_point_c=result.out_dew_point_c,
-            coil_heat_w=result.heat_extracted_w,
-            coil_water_flow_lps=self._coil_flow_effective_lps,
-            fan_power_w=self.fans.power_w,
-        )
+        return AirboxOutput(flow, supply_temp, result.out_humidity_ratio,
+                            result.out_dew_point_c, result.heat_extracted_w,
+                            self._coil_flow_effective_lps,
+                            self.fans.power_w)

@@ -11,12 +11,18 @@ documented) numerical tolerance.
 
 Fingerprints round-trip through NPZ files under ``tests/golden/``;
 see ``tests/golden/README.md`` for the regeneration command.
+
+:func:`state_digest` is the complementary oracle for identity claims:
+the discrete log is empty on a direct-control grid (no nodes, no
+medium, no sniffer), so its hash cannot tell two such runs apart,
+while the state digest covers the final physics state itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 from typing import Dict, List
 
@@ -50,6 +56,33 @@ def discrete_log_hash(system) -> str:
     if system.sniffer is not None:
         log["sniffer_frames"] = system.sniffer.frame_count
     encoded = json.dumps(log, sort_keys=True).encode()
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def state_digest(system) -> str:
+    """SHA-256 over the exact bytes of the run's final physics state.
+
+    Covers every zone's temperature, humidity ratio and CO2, both tank
+    temperatures, the plant's energy meters (sorted by key), the
+    condensation guard's worst margin and violation count, and the
+    room's macro-gap and fallback counters.  Floats are hashed as their
+    IEEE-754 doubles, so two runs share a digest only if their physics
+    agrees bit for bit.
+    """
+    plant = system.plant
+    room = plant.room
+    values: List[float] = []
+    for i in range(len(room.subspaces)):
+        state = room.state_of(i)
+        values += [state.temp_c, state.humidity_ratio, state.co2_ppm]
+    values += [plant.radiant_tank.temp_c, plant.vent_tank.temp_c]
+    meters = plant.meter_snapshot()
+    values += [meters[key] for key in sorted(meters)]
+    values.append(plant.guard.worst_margin_k)
+    counters = (plant.guard.violations, room.macro_gaps,
+                room.macro_fallbacks)
+    encoded = (struct.pack(f"<{len(values)}d", *values)
+               + struct.pack(f"<{len(counters)}q", *counters))
     return hashlib.sha256(encoded).hexdigest()
 
 

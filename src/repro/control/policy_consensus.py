@@ -26,7 +26,6 @@ temperature aggregation feeding the radiant loop.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.control.policy import (
@@ -123,8 +122,7 @@ class ConsensusRadiantLaw(RadiantCoolingController):
         values = [self._zone_estimates[z] for z in self.zones
                   if z in self._zone_estimates]
         if values:
-            inputs = replace(inputs,
-                             room_temp_c=sum(values) / len(values))
+            inputs = inputs._replace(room_temp_c=sum(values) / len(values))
         return super().step(inputs, dt)
 
 

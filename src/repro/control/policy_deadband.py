@@ -84,12 +84,9 @@ class DeadbandRadiantLaw:
         flow = self.max_flow_lps if self._on else 0.0
         supply_flow, recycle_flow = MixingJunction.flows_for_target(
             flow, mix_temp, inputs.supply_temp_c, inputs.return_temp_c)
-        return RadiantCommand(
-            supply_voltage=self.pump_curve.voltage_for(supply_flow),
-            recycle_voltage=self.pump_curve.voltage_for(recycle_flow),
-            mix_temp_target_c=mix_temp,
-            mix_flow_target_lps=flow,
-        )
+        return RadiantCommand(self.pump_curve.voltage_for(supply_flow),
+                              self.pump_curve.voltage_for(recycle_flow),
+                              mix_temp, flow)
 
 
 class DeadbandVentilationLaw:
@@ -147,13 +144,8 @@ class DeadbandVentilationLaw:
                        else self.min_fresh_air_m3s)
         fan_step = lookup_fan_speed(flow_demand)
         return VentilationCommand(
-            coil_pump_voltage=self.coil_pump_curve.voltage_for(coil_flow),
-            fan_speed_step=fan_step,
-            fan_flow_demand_m3s=flow_demand,
-            flap_open=fan_step > 0,
-            supply_dew_target_c=supply_target,
-            room_dew_target_c=room_target,
-        )
+            self.coil_pump_curve.voltage_for(coil_flow), fan_step,
+            flow_demand, fan_step > 0, supply_target, room_target)
 
 
 class DeadbandPolicy(ControlPolicy):

@@ -20,7 +20,7 @@ network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.control.condensation import mix_temperature_target
 from repro.control.pid import PIDController, PIDGains
@@ -28,9 +28,12 @@ from repro.hydronics.mixing import MixingJunction
 from repro.hydronics.pump import PumpCurve
 
 
-@dataclass(frozen=True)
-class RadiantCommand:
-    """Actuation produced by one control step."""
+class RadiantCommand(NamedTuple):
+    """Actuation produced by one control step.
+
+    The control records are ``NamedTuple``s, built positionally on the
+    hot paths: one per panel or zone per control step (DESIGN.md §6).
+    """
 
     supply_voltage: float
     recycle_voltage: float
@@ -38,8 +41,7 @@ class RadiantCommand:
     mix_flow_target_lps: float
 
 
-@dataclass(frozen=True)
-class RadiantInputs:
+class RadiantInputs(NamedTuple):
     """Sensor values one control step consumes."""
 
     room_temp_c: float          # averaged room temperature sensors
@@ -97,12 +99,7 @@ class RadiantCoolingController:
         achievable = max(inputs.supply_temp_c, inputs.return_temp_c)
         if mix_temp > achievable + 1e-9:
             self._pid.reset()
-            return RadiantCommand(
-                supply_voltage=0.0,
-                recycle_voltage=0.0,
-                mix_temp_target_c=mix_temp,
-                mix_flow_target_lps=0.0,
-            )
+            return RadiantCommand(0.0, 0.0, mix_temp, 0.0)
 
         # (3): PID from temperature error to mixed-flow target.
         delta = self.preferred_temp_c - inputs.room_temp_c
@@ -115,9 +112,6 @@ class RadiantCoolingController:
         supply_flow, recycle_flow = MixingJunction.flows_for_target(
             flow_target, mix_temp,
             inputs.supply_temp_c, inputs.return_temp_c)
-        return RadiantCommand(
-            supply_voltage=self.pump_curve.voltage_for(supply_flow),
-            recycle_voltage=self.pump_curve.voltage_for(recycle_flow),
-            mix_temp_target_c=mix_temp,
-            mix_flow_target_lps=flow_target,
-        )
+        return RadiantCommand(self.pump_curve.voltage_for(supply_flow),
+                              self.pump_curve.voltage_for(recycle_flow),
+                              mix_temp, flow_target)

@@ -18,7 +18,7 @@ the fans; Control-V-3 the CO2flap).  The logic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.airside.fan import lookup_fan_speed, FAN_SPEED_TABLE
 from repro.control.condensation import room_dew_target, supply_dew_target
@@ -77,9 +77,12 @@ def air_volume_for_co2(room_volume_m3: float,
     return room_volume_m3 * surplus / leverage
 
 
-@dataclass(frozen=True)
-class VentilationInputs:
-    """Sensor values one control step consumes."""
+class VentilationInputs(NamedTuple):
+    """Sensor values one control step consumes.
+
+    Like the radiant records, a ``NamedTuple`` built once per zone per
+    control step (DESIGN.md §6).
+    """
 
     room_temp_c: float
     room_dew_point_c: float
@@ -89,8 +92,7 @@ class VentilationInputs:
     outdoor_co2_ppm: float = 400.0
 
 
-@dataclass(frozen=True)
-class VentilationCommand:
+class VentilationCommand(NamedTuple):
     """Actuation produced by one control step."""
 
     coil_pump_voltage: float
@@ -181,10 +183,5 @@ class VentilationController:
 
         # (6): flap tracks the fans.
         return VentilationCommand(
-            coil_pump_voltage=self.coil_pump_curve.voltage_for(coil_flow),
-            fan_speed_step=fan_step,
-            fan_flow_demand_m3s=flow_demand,
-            flap_open=fan_step > 0,
-            supply_dew_target_c=supply_target,
-            room_dew_target_c=room_target,
-        )
+            self.coil_pump_curve.voltage_for(coil_flow), fan_step,
+            flow_demand, fan_step > 0, supply_target, room_target)

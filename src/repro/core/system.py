@@ -123,6 +123,9 @@ class BubbleZero:
         self._recorder_task = PeriodicTask(
             self.sim, "recorder", self.config.record_period_s, self._record,
             priority=PRIORITY_MONITOR, phase=0.0)
+        # The recorder's TraceSeries, resolved on its first sample (see
+        # _record) instead of by name on every sample.
+        self._recorder_series = None
         # Last observed comfort/dew breach state, per zone and panel.
         # The recorder flips these and emits comfort.*/dew.* transition
         # events (the SLO scorer's raw material) — pure bookkeeping on
@@ -249,23 +252,16 @@ class BubbleZero:
             served = self.topology.panel_zones[p]
             ceiling_dew = max(room.state_of(s).dew_point_c for s in served)
             command = controller.step(RadiantInputs(
-                room_temp_c=room_temp,
-                ceiling_dew_point_c=ceiling_dew,
-                supply_temp_c=supply,
-                return_temp_c=plant.panel_return_temp_c(p),
-            ), CONTROL_PERIOD_S)
+                room_temp, ceiling_dew, supply, plant.panel_return_temp_c(p)),
+                CONTROL_PERIOD_S)
             loop = plant.panel_loops[p]
             loop.supply_pump.set_voltage(command.supply_voltage)
             loop.recycle_pump.set_voltage(command.recycle_voltage)
         for i, controller in enumerate(self._vent_direct):
             state = room.state_of(i)
             command = controller.step(VentilationInputs(
-                room_temp_c=state.temp_c,
-                room_dew_point_c=state.dew_point_c,
-                room_co2_ppm=state.co2_ppm,
-                supply_water_temp_c=supply,
-                airbox_out_dew_point_c=plant.airbox_outlet_dew_c(i),
-            ), CONTROL_PERIOD_S)
+                state.temp_c, state.dew_point_c, state.co2_ppm, supply,
+                plant.airbox_outlet_dew_c(i)), CONTROL_PERIOD_S)
             unit = plant.vent_units[i]
             unit.airbox.set_coil_pump_voltage(command.coil_pump_voltage)
             unit.airbox.set_fan_flow_demand(command.fan_flow_demand_m3s)
@@ -474,22 +470,43 @@ class BubbleZero:
 
     def _record(self, now: float) -> None:
         trace = self.sim.trace
-        outdoor = self.plant.outdoor(now)
-        trace.record("outdoor/temp", now, outdoor.temp_c)
-        trace.record("outdoor/dew", now, outdoor.dew_point_c)
-        for i, subspace in enumerate(self.plant.room.subspaces):
-            trace.record(f"subspace/{i}/temp", now, subspace.state.temp_c)
-            trace.record(f"subspace/{i}/dew", now, subspace.state.dew_point_c)
-            trace.record(f"subspace/{i}/co2", now, subspace.state.co2_ppm)
-        trace.record("tank/18C", now, self.plant.radiant_tank.temp_c)
-        trace.record("tank/8C", now, self.plant.vent_tank.temp_c)
-        for p, loop in enumerate(self.plant.panel_loops):
-            trace.record(f"panel/{p}/mix_temp", now, loop.mix_temp_c)
-            trace.record(f"panel/{p}/mix_flow", now, loop.mix_flow_lps)
-            if loop.last_result is not None:
-                trace.record(f"panel/{p}/heat", now, loop.last_result.heat_w)
-                trace.record(f"panel/{p}/surface", now,
-                             loop.last_result.surface_temp_c)
+        plant = self.plant
+        handles = self._recorder_series
+        if handles is None:
+            # Created in the order the samples below first touch them.
+            handles = self._recorder_series = (
+                trace.series("outdoor/temp"), trace.series("outdoor/dew"),
+                [(trace.series(f"subspace/{i}/temp"),
+                  trace.series(f"subspace/{i}/dew"),
+                  trace.series(f"subspace/{i}/co2"))
+                 for i in range(len(plant.room.subspaces))],
+                trace.series("tank/18C"), trace.series("tank/8C"),
+                [[trace.series(f"panel/{p}/mix_temp"),
+                  trace.series(f"panel/{p}/mix_flow"), None, None]
+                 for p in range(len(plant.panel_loops))])
+        out_temp, out_dew, zones, tank_18, tank_8, panels = handles
+        outdoor = plant.outdoor(now)
+        out_temp.append(now, outdoor.temp_c)
+        out_dew.append(now, outdoor.dew_point_c)
+        for subspace, (temp, dew, co2) in zip(plant.room.subspaces, zones):
+            state = subspace.state
+            temp.append(now, state.temp_c)
+            dew.append(now, state.dew_point_c)
+            co2.append(now, state.co2_ppm)
+        tank_18.append(now, plant.radiant_tank.temp_c)
+        tank_8.append(now, plant.vent_tank.temp_c)
+        for p, (loop, series) in enumerate(zip(plant.panel_loops, panels)):
+            series[0].append(now, loop.mix_temp_c)
+            series[1].append(now, loop.mix_flow_lps)
+            result = loop.last_result
+            if result is not None:
+                # A panel's heat/surface series appear with its first
+                # exchange result, as the by-name recorder made them.
+                if series[2] is None:
+                    series[2] = trace.series(f"panel/{p}/heat")
+                    series[3] = trace.series(f"panel/{p}/surface")
+                series[2].append(now, result.heat_w)
+                series[3].append(now, result.surface_temp_c)
         self._slo_probe(now)
 
     def _slo_probe(self, now: float) -> None:

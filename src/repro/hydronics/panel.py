@@ -16,14 +16,17 @@ resistance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.hydronics.water import WATER_CP, mass_flow
 
 
-@dataclass(frozen=True)
-class PanelResult:
-    """Outcome of one panel heat-exchange step."""
+class PanelResult(NamedTuple):
+    """Outcome of one panel heat-exchange step.
+
+    A ``NamedTuple`` (cheap to build once per panel per tick; see
+    DESIGN.md §6).
+    """
 
     heat_w: float            # heat absorbed from the room (>= 0 when cooling)
     return_temp_c: float     # water temperature leaving the panel

@@ -22,7 +22,7 @@ subdivides automatically if a larger dt is requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -191,6 +191,7 @@ class Room:
             (params.infiltration_ach / 3600.0) * s.volume_m3
             for s in self.subspaces
         ]
+        self._infil_array = np.array(self._infil_flows)
         self._water_masses = [
             s.air_mass_kg * params.moisture_buffer_factor
             for s in self.subspaces
@@ -386,72 +387,89 @@ class Room:
             raise ValueError(
                 f"expected {len(self.subspaces)} subspace inputs, "
                 f"got {len(inputs)}")
-        x0, diag, rhs = self._assemble_macro(outdoor, inputs)
+        subspaces = self.subspaces
+        x0 = np.array([[s.state.temp_c for s in subspaces],
+                       [s.state.humidity_ratio for s in subspaces],
+                       [s.state.co2_ppm for s in subspaces]])
+        rows = np.array([(inp.panel_heat_w, inp.vent_flow_m3s,
+                          inp.vent_supply_temp_c, inp.vent_supply_w,
+                          inp.occupants, inp.equipment_w,
+                          inp.door_open_fraction)
+                         for inp in inputs], dtype=float).T
+        new_state = self.macro_solve(dt, outdoor, x0, rows)
+        if new_state is None:
+            self.step(dt, outdoor, inputs)
+            return
+        new_t, new_w, new_c = new_state.tolist()
+        for i, subspace in enumerate(subspaces):
+            # tolist() keeps np.float64 out of the live state.  The
+            # conversion is value-exact, but the type matters: round()
+            # on np.float64 is not correctly rounded, so letting numpy
+            # scalars leak into the psychrometrics memo keys makes the
+            # trajectory depend on which path produced a value.
+            subspace.state = SubspaceState(new_t[i], new_w[i], new_c[i])
+
+    def macro_solve(self, dt: float, outdoor: OutdoorState, x0: np.ndarray,
+                    inputs: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+        """Closed-form end state of one gap from per-zone input arrays.
+
+        The array-native core of :meth:`macro_step`, shared with the
+        vector kernel: ``x0`` is the (3, n) start state (temperature,
+        humidity ratio, CO2 rows) and ``inputs`` the gap's boundary
+        inputs as seven ``float64[n]`` rows, in the field order of
+        :class:`SubspaceInputs`.  Counts the gap, and returns the (3, n)
+        end state, or ``None`` after counting a fallback — the caller
+        must then integrate the gap per tick (:meth:`step`).
+        """
+        diag, rhs = self._assemble_macro(outdoor, inputs)
         new_state = self._solve_macro_gap(dt, x0, diag, rhs,
                                           outdoor.co2_ppm * 0.5)
         self.macro_gaps += 1
         if new_state is None:
             self.macro_fallbacks += 1
-            self.step(dt, outdoor, inputs)
-            return
-        new_t, new_w, new_c = new_state
-        for i, subspace in enumerate(self.subspaces):
-            # float() keeps np.float64 out of the live state.  The
-            # conversion is value-exact, but the type matters: round()
-            # on np.float64 is not correctly rounded, so letting numpy
-            # scalars leak into the psychrometrics memo keys makes the
-            # trajectory depend on which path produced a value.
-            subspace.state = SubspaceState(float(new_t[i]), float(new_w[i]),
-                                           float(new_c[i]))
+        return new_state
 
     def _assemble_macro(self, outdoor: OutdoorState,
-                        inputs: Sequence[SubspaceInputs]
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        inputs: Sequence[np.ndarray]
+                        ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble the stacked linear systems for one macro gap.
 
-        Returns ``(x0, diag, rhs)`` as (3, n) arrays: the initial state,
-        the input-dependent diagonal losses and the (unscaled) forcing
-        of the three quantities.  The state-independent coupling pattern
-        lives in ``self._macro_base``.
+        Returns ``(diag, rhs)`` as (3, n) arrays: the input-dependent
+        diagonal losses and the (unscaled) forcing of the three
+        quantities.  The state-independent coupling pattern lives in
+        ``self._macro_base``.  Every row is one elementwise numpy
+        expression with the left-to-right grouping of the per-zone
+        balance in :meth:`_euler_step`, so each entry is bit-identical
+        to the scalar expression it vectorises.
         """
+        (panel_heat, vent_flow, supply_temp, supply_w, occupants, equipment,
+         opening) = inputs
         params = self.params
-        subspaces = self.subspaces
-        n = len(subspaces)
-        outdoor_w = outdoor.humidity_ratio
         outdoor_temp = outdoor.temp_c
-        outdoor_co2 = outdoor.co2_ppm
-        diag = np.zeros((3, n))
-        rhs = np.zeros((3, n))
-        x0 = np.empty((3, n))
         envelope_ua = params.envelope_ua_w_per_k
-        door_exchange = params.door_exchange_m3s
-        for i, subspace in enumerate(subspaces):
-            state = subspace.state
-            inp = inputs[i]
-            x0[0, i] = state.temp_c
-            x0[1, i] = state.humidity_ratio
-            x0[2, i] = state.co2_ppm
-            m_vent = inp.vent_flow_m3s * AIR_DENSITY
-            infil_flow = self._infil_flows[i]
-            door_flow = inp.door_open_fraction * door_exchange
-            m_exch = (infil_flow + door_flow) * AIR_DENSITY
-            # Sensible heat: the _euler_step balance split into the part
-            # proportional to the local state (diagonal loss) and the
-            # constant forcing.
-            diag[0, i] = envelope_ua + (m_vent + m_exch) * AIR_CP
-            rhs[0, i] = ((envelope_ua + m_exch * AIR_CP) * outdoor_temp
-                         + m_vent * AIR_CP * inp.vent_supply_temp_c
-                         + inp.occupants * OCCUPANT_SENSIBLE_W
-                         + inp.equipment_w - inp.panel_heat_w)
-            # Moisture.
-            diag[1, i] = m_vent + m_exch
-            rhs[1, i] = (m_vent * inp.vent_supply_w + m_exch * outdoor_w
-                         + inp.occupants * OCCUPANT_LATENT_KGS)
-            # CO2 (volumetric flows act on concentration directly).
-            g = inp.vent_flow_m3s + infil_flow + door_flow
-            diag[2, i] = g
-            rhs[2, i] = g * outdoor_co2 + inp.occupants * OCCUPANT_CO2_M3S * 1e6
-        return x0, diag, rhs
+        infil_flow = self._infil_array
+        m_vent = vent_flow * AIR_DENSITY
+        door_flow = opening * params.door_exchange_m3s
+        m_exch = (infil_flow + door_flow) * AIR_DENSITY
+        diag = np.empty((3, len(vent_flow)))
+        rhs = np.empty_like(diag)
+        # Sensible heat: the _euler_step balance split into the part
+        # proportional to the local state (diagonal loss) and the
+        # constant forcing.
+        diag[0] = envelope_ua + (m_vent + m_exch) * AIR_CP
+        rhs[0] = ((envelope_ua + m_exch * AIR_CP) * outdoor_temp
+                  + m_vent * AIR_CP * supply_temp
+                  + occupants * OCCUPANT_SENSIBLE_W
+                  + equipment - panel_heat)
+        # Moisture.
+        diag[1] = m_vent + m_exch
+        rhs[1] = (m_vent * supply_w + m_exch * outdoor.humidity_ratio
+                  + occupants * OCCUPANT_LATENT_KGS)
+        # CO2 (volumetric flows act on concentration directly).
+        g = vent_flow + infil_flow + door_flow
+        diag[2] = g
+        rhs[2] = g * outdoor.co2_ppm + occupants * OCCUPANT_CO2_M3S * 1e6
+        return diag, rhs
 
     def _macro_decomposition(self, diag: np.ndarray) -> Optional[tuple]:
         """Eigendecomposition for a diagonal-loss vector, memoised.

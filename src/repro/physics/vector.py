@@ -25,9 +25,9 @@ This module keeps the *numbers* of the scalar path and restructures the
   (pump flows, exchanger effectiveness, fan power, coil constants, tank
   thermal masses, chiller COP at the frozen reject temperature) is
   hoisted once per gap, and the per-tick loop runs on plain local
-  floats.  Macro gaps then delegate the room advance to the
-  closed-form eigensolve the scalar path already uses
-  (:meth:`Room.macro_step`), so clamp-binding regimes fall back to
+  floats.  Macro gaps then hand their averaged boundary inputs, as
+  arrays, to the closed-form eigensolve the scalar path uses
+  (:meth:`Room.macro_solve`), so clamp-binding regimes fall back to
   per-tick integration *exactly* as the reference does.
 
 Bit-exactness contract: every floating-point expression below repeats
@@ -42,7 +42,7 @@ pins the two together bit for bit.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -713,27 +713,36 @@ class VectorPlantKernel:
 
         # --- room advance ----------------------------------------------
         if macro:
-            averaged: List[SubspaceInputs] = []
-            for i in range(n):
-                flow = flow_sum[i] / ticks
-                if flow_sum[i] > 0:
-                    supply_temp = flow_temp_sum[i] / flow_sum[i]
-                    supply_w = flow_w_sum[i] / flow_sum[i]
-                else:
-                    supply_temp = temp_sum[i] / ticks
-                    supply_w = w_sum[i] / ticks
-                averaged.append(SubspaceInputs(
-                    panel_heat_w=heat_sum[i] / ticks,
-                    vent_flow_m3s=flow,
-                    vent_supply_temp_c=supply_temp,
-                    vent_supply_w=supply_w,
-                    occupants=occupants[i],
-                    equipment_w=equipment[i],
-                    door_open_fraction=opening[i],
-                ))
-            # The closed-form eigensolve (and its bit-exact per-tick
-            # clamp fallback) is shared with the scalar path.
-            room.macro_step(ticks * dt, outdoor, averaged)
+            # Gap averages as arrays: each entry is the one division
+            # the scalar plant's per-zone average performs (supply
+            # conditions flow-weighted while air flows, plain means
+            # otherwise).
+            flows = np.array(flow_sum)
+            flowing = flows > 0
+            supply_temp = np.array(temp_sum) / ticks
+            supply_w = np.array(w_sum) / ticks
+            np.divide(flow_temp_sum, flows, out=supply_temp, where=flowing)
+            np.divide(flow_w_sum, flows, out=supply_w, where=flowing)
+            gap_inputs = (np.array(heat_sum) / ticks, flows / ticks,
+                          supply_temp, supply_w,
+                          np.array(occupants, dtype=float),
+                          np.array(equipment, dtype=float),
+                          np.array(opening))
+            x0 = np.array((arrays.temp_c, arrays.humidity_ratio,
+                           arrays.co2_ppm))
+            # The closed-form eigensolve and its gap/fallback accounting
+            # are the scalar path's own (Room.macro_solve).
+            new_state = room.macro_solve(ticks * dt, outdoor, x0,
+                                         gap_inputs)
+            if new_state is None:
+                # Clamp fallback: the per-tick reference integrator.
+                room.step(ticks * dt, outdoor, [
+                    SubspaceInputs(*row)
+                    for row in np.array(gap_inputs).T.tolist()])
+            else:
+                arrays.temp_c[:] = new_state[0]
+                arrays.humidity_ratio[:] = new_state[1]
+                arrays.co2_ppm[:] = new_state[2]
         else:
             self._fused_euler(dt, out_t, out_w, out_co2, temps, ws, co2s,
                               tick_ph, u_eflow, u_supt, u_supw,
@@ -774,14 +783,8 @@ class VectorPlantKernel:
             flap._position = u_flap_pos[i]
             flap.energy_j = u_flap_e[i]
             unit.last_output = AirboxOutput(
-                flow_m3s=u_flow[i],
-                supply_temp_c=u_supt[i],
-                supply_humidity_ratio=u_supw[i],
-                supply_dew_point_c=u_last_dew[i],
-                coil_heat_w=u_last_heat[i],
-                coil_water_flow_lps=u_eff[i],
-                fan_power_w=u_fan_pw[i],
-            )
+                u_flow[i], u_supt[i], u_supw[i], u_last_dew[i],
+                u_last_heat[i], u_eff[i], u_fan_pw[i])
         rtank.temp_c = r_st[0]
         rtank.energy_in_j = r_st[1]
         rtank.heat_returned_j = r_st[2]

@@ -8,8 +8,6 @@ conservative latch, the three-tier estimate fallback ladder) still
 engages under non-PID policies.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.control.policy import (
@@ -266,8 +264,7 @@ class TestConsensusAgents:
         inputs = _radiant_inputs(23.0)
         # The consensus law must behave exactly like the reference PID
         # fed the estimate mean (28.0) instead of the raw reading.
-        expected = reference.step(
-            dataclasses.replace(inputs, room_temp_c=28.0), 5.0)
+        expected = reference.step(inputs._replace(room_temp_c=28.0), 5.0)
         assert law.step(inputs, 5.0) == expected
 
     def test_radiant_law_without_estimates_matches_reference(self):

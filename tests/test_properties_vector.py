@@ -1,6 +1,6 @@
 """Property-based tests for the vectorized physics core.
 
-Three families of invariants back the SoA rewrite:
+Four families of invariants back the SoA rewrite:
 
 * **First-law ledgers** — a tank tick may move energy between the
   ambient-gain, chiller and temperature accounts but never create it:
@@ -9,6 +9,8 @@ Three families of invariants back the SoA rewrite:
   transcribes is monotone in water flow and never humidifies.
 * **Clamp fallback** — a macro gap whose trajectory touches a floor
   runs on the per-tick integrator, bit for bit.
+* **Macro assembly** — the array-native ``Room._assemble_macro`` equals
+  the per-zone loop it vectorises, bit for bit.
 
 Hypothesis sweeps the operating envelope so clamp edges (chiller
 capacity, coil saturation, humidity floor) get hit, not hand-picked.
@@ -129,3 +131,71 @@ class TestClampFallback:
             assert sm.state.humidity_ratio == st_.state.humidity_ratio
             assert sm.state.co2_ppm == st_.state.co2_ppm
             assert sm.state.humidity_ratio >= 1e-5 - 1e-18
+
+
+def _assemble_per_zone(room, outdoor, inputs):
+    """Per-zone loop reference for ``Room._assemble_macro``.
+
+    Each zone's loss diagonal and forcing, written as the scalar
+    balance of ``Room._euler_step`` splits them, on Python floats.
+    """
+    from repro.physics.room import (
+        AIR_CP, AIR_DENSITY, OCCUPANT_CO2_M3S, OCCUPANT_LATENT_KGS,
+        OCCUPANT_SENSIBLE_W,
+    )
+
+    params = room.params
+    envelope_ua = params.envelope_ua_w_per_k
+    diag, rhs = [[], [], []], [[], [], []]
+    for i, inp in enumerate(inputs):
+        m_vent = inp.vent_flow_m3s * AIR_DENSITY
+        infil_flow = room._infil_flows[i]
+        door_flow = inp.door_open_fraction * params.door_exchange_m3s
+        m_exch = (infil_flow + door_flow) * AIR_DENSITY
+        diag[0].append(envelope_ua + (m_vent + m_exch) * AIR_CP)
+        rhs[0].append((envelope_ua + m_exch * AIR_CP) * outdoor.temp_c
+                      + m_vent * AIR_CP * inp.vent_supply_temp_c
+                      + inp.occupants * OCCUPANT_SENSIBLE_W
+                      + inp.equipment_w - inp.panel_heat_w)
+        diag[1].append(m_vent + m_exch)
+        rhs[1].append(m_vent * inp.vent_supply_w
+                      + m_exch * outdoor.humidity_ratio
+                      + inp.occupants * OCCUPANT_LATENT_KGS)
+        g = inp.vent_flow_m3s + infil_flow + door_flow
+        diag[2].append(g)
+        rhs[2].append(g * outdoor.co2_ppm
+                      + inp.occupants * OCCUPANT_CO2_M3S * 1e6)
+    return diag, rhs
+
+
+ZONE_INPUTS = st.builds(
+    lambda *fields: fields,
+    st.floats(min_value=0.0, max_value=500.0),     # panel heat
+    st.floats(min_value=0.0, max_value=0.1),       # vent flow
+    st.floats(min_value=5.0, max_value=35.0),      # supply temp
+    st.floats(min_value=1e-5, max_value=0.025),    # supply w
+    st.floats(min_value=0.0, max_value=4.0),       # occupants
+    st.floats(min_value=0.0, max_value=300.0),     # equipment
+    st.floats(min_value=0.0, max_value=1.0),       # opening
+)
+
+
+class TestMacroAssembly:
+    @given(rows=st.lists(ZONE_INPUTS, min_size=1, max_size=9),
+           out_t=st.floats(min_value=-5.0, max_value=40.0),
+           out_w=st.floats(min_value=1e-4, max_value=0.025),
+           out_co2=st.floats(min_value=300.0, max_value=600.0))
+    def test_rows_equal_per_zone_balance(self, rows, out_t, out_w, out_co2):
+        import numpy as np
+
+        from repro.physics.room import (
+            OutdoorState, Room, RoomGeometry, SubspaceInputs,
+        )
+
+        room = Room(geometry=RoomGeometry(subspace_count=len(rows)))
+        outdoor = OutdoorState(out_t, out_w, out_co2)
+        inputs = [SubspaceInputs(*row) for row in rows]
+        diag, rhs = room._assemble_macro(outdoor, np.array(rows).T)
+        ref_diag, ref_rhs = _assemble_per_zone(room, outdoor, inputs)
+        assert diag.tolist() == ref_diag
+        assert rhs.tolist() == ref_rhs

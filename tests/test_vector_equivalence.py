@@ -15,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.fingerprint import discrete_log_hash
+from repro.analysis.fingerprint import discrete_log_hash, state_digest
 from repro.core.config import BubbleZeroConfig, NetworkConfig
 from repro.core.system import BubbleZero
 from repro.obs import create_observability
@@ -43,6 +43,11 @@ def _assert_identical(scalar, vector):
     assert sg.worst_margin_k == vg.worst_margin_k
     assert sg.violations == vg.violations
     assert (scalar.sim.events_dispatched == vector.sim.events_dispatched)
+    assert state_digest(scalar) == state_digest(vector)
+    for su, vu in zip(scalar.plant.vent_units, vector.plant.vent_units):
+        assert su.last_output == vu.last_output
+    for sl, vl in zip(scalar.plant.panel_loops, vector.plant.panel_loops):
+        assert sl.last_result == vl.last_result
 
 
 def _compare(config, topology=None, minutes=10.0, obs_on=False):
@@ -123,3 +128,37 @@ class TestObservedEquivalence:
             minutes=5.0, obs_on=False)
         assert (discrete_log_hash(observed_s)
                 == discrete_log_hash(blind_s))
+
+
+class TestKernelClampFallback:
+    """A vector-kernel macro gap that touches the humidity floor.
+
+    The kernel hands such a gap to the per-tick reference integrator
+    through the room it shares with the scalar plant; the fallback must
+    be counted and the state must stay bit-identical to the scalar
+    plant's on the same gap.
+    """
+
+    @pytest.mark.parametrize("w0", [2e-6, 1e-5])
+    def test_floor_gap_falls_back_identically(self, w0):
+        from repro.physics.room import SubspaceState
+
+        systems = []
+        for vector in (False, True):
+            config = BubbleZeroConfig(seed=7, network=DIRECT,
+                                      physics_vector=vector)
+            system = BubbleZero(config, topology=grid_topology(8, cols=4))
+            for sub in system.plant.room.subspaces:
+                state = sub.state
+                sub.state = SubspaceState(state.temp_c, w0, state.co2_ppm)
+            system.plant.macro_step(system.sim.clock.now, 20, 1.0)
+            systems.append(system)
+        scalar, vector = systems
+        for system in systems:
+            room = system.plant.room
+            assert room.macro_gaps == 1
+            assert room.macro_fallbacks == 1
+            # The per-tick clamp held the floor.
+            assert all(room.state_of(i).humidity_ratio >= 1e-5
+                       for i in range(len(room.subspaces)))
+        _assert_identical(scalar, vector)
