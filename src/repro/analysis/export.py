@@ -4,7 +4,8 @@ The deployment "log[s] all control data with time stamps, based on
 which we conduct full analysis" (paper §V).  This module is the
 offline-analysis side: it dumps a run's recorded series to CSV (one
 column per series, resampled to a common grid) and a machine-readable
-summary of the outcomes to JSON, so external tooling (spreadsheets,
+summary of the outcomes to JSON, and writes the matrix workloads'
+reports as deterministic JSON, so external tooling (spreadsheets,
 plotting) can consume a run without importing the library.
 """
 
@@ -94,11 +95,7 @@ def run_summary(system) -> Dict:
 
 def export_summary_json(system, path: str) -> None:
     """Write :func:`run_summary` to ``path`` as pretty-printed JSON."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as handle:
-        json.dump(run_summary(system), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_report_json(run_summary(system), path)
 
 
 def load_summary_json(path: str) -> Dict:
@@ -107,44 +104,17 @@ def load_summary_json(path: str) -> Dict:
         return json.load(handle)
 
 
-def export_campaign_json(result, path: str) -> None:
-    """Write a campaign's :meth:`report_dict` as deterministic JSON.
+def write_report_json(report: Dict, path: str) -> None:
+    """Write a matrix report dict (campaign, sweep, chaos, bake-off) as
+    deterministic JSON.
 
     Deterministic means byte-identical across re-runs of the same
-    config: keys are sorted and no wall-clock timestamps are included,
-    so the reproducibility check can diff the files directly.
+    config and any worker count: keys are sorted and reports carry no
+    wall-clock timestamps, so reproducibility checks can ``cmp`` the
+    files directly.
     """
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as handle:
-        json.dump(result.report_dict(), handle, indent=2, sort_keys=True,
-                  default=float)
+    with out.open("w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True, default=float)
         handle.write("\n")
-
-
-def load_campaign_json(path: str) -> Dict:
-    """Read back a report written by :func:`export_campaign_json`."""
-    with Path(path).open() as handle:
-        return json.load(handle)
-
-
-def export_sweep_json(result, path: str) -> None:
-    """Write a sweep's :meth:`report_dict` as deterministic JSON.
-
-    Same contract as :func:`export_campaign_json`: sorted keys, no
-    wall-clock timestamps, so exports from the same
-    :class:`~repro.workloads.sweep.SweepConfig` are byte-identical
-    regardless of how many workers executed the replicates.
-    """
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as handle:
-        json.dump(result.report_dict(), handle, indent=2, sort_keys=True,
-                  default=float)
-        handle.write("\n")
-
-
-def load_sweep_json(path: str) -> Dict:
-    """Read back a report written by :func:`export_sweep_json`."""
-    with Path(path).open() as handle:
-        return json.load(handle)

@@ -221,71 +221,6 @@ def run_best_of(name: str, macro: bool, repeat: int) -> Dict[str, object]:
     return best
 
 
-# Parallel fan-out section defaults: independent seeded campaign-length
-# runs, enough of them to keep every worker busy for several runs.
-PARALLEL_RUNS = 8
-PARALLEL_RUN_MINUTES = 45.0
-
-
-def run_parallel_section(workers: int,
-                         runs: int = PARALLEL_RUNS,
-                         run_minutes: float = PARALLEL_RUN_MINUTES
-                         ) -> Dict[str, object]:
-    """Fan independent seeded runs over the pool; report throughput.
-
-    ``agg_sim_s_per_wall_s`` is the headline number: summed simulated
-    seconds delivered per wall-clock second across all workers.
-    ``parallel_speedup`` divides a *measured* serial loop over the same
-    specs by the pooled wall clock.  Summed in-worker wall clocks are
-    no substitute: on an oversubscribed machine each worker's clock
-    counts time spent descheduled, which fakes near-linear scaling on
-    a single core.  (``cpu_count`` is recorded so a sub-1x result on a
-    one-core box reads as what it is: pool overhead with no cores to
-    spend it on.)
-    """
-    import os
-
-    from repro.core.config import BubbleZeroConfig
-    from repro.runtime.pool import run_specs
-    from repro.runtime.spec import RunResult, RunSpec
-
-    base = get_scenario("bench-parallel")
-    specs = [RunSpec(label=f"seed-{seed}",
-                     scenario=replace(base, name=f"seed-{seed}",
-                                      config=BubbleZeroConfig(seed=seed),
-                                      run_minutes=run_minutes))
-             for seed in range(1, runs + 1)]
-    t0 = time.perf_counter()
-    serial_payloads = run_specs(specs, workers=1)
-    serial_wall_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    payloads = run_specs(specs, workers=workers)
-    wall_s = time.perf_counter() - t0
-    ok = [p for p in payloads if isinstance(p, RunResult)]
-    sim_total = sum(p.sim_s for p in ok)
-    mismatched = sum(
-        1 for serial, pooled in zip(serial_payloads, payloads)
-        if not (isinstance(serial, RunResult)
-                and isinstance(pooled, RunResult)
-                and serial.discrete_hash == pooled.discrete_hash))
-    if mismatched:
-        raise RuntimeError(
-            f"parallel section diverged from the serial loop on "
-            f"{mismatched} run(s) — determinism bug")
-    return {
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "runs": runs,
-        "run_minutes": run_minutes,
-        "failures": len(payloads) - len(ok),
-        "wall_s": wall_s,
-        "serial_wall_s": serial_wall_s,
-        "sim_s_total": sim_total,
-        "agg_sim_s_per_wall_s": sim_total / wall_s,
-        "parallel_speedup": serial_wall_s / wall_s,
-    }
-
-
 # Largest grid where the cache-off control run is still cheap enough to
 # bother timing; beyond this the point is already made and the bench
 # only reports the cached path.
@@ -723,12 +658,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--repeat", type=int, default=1,
                         help="run each trial N times, report the best "
                              "wall clock (domain metrics must match)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="also run the parallel fan-out section "
-                             "with this many workers (0: skip)")
-    parser.add_argument("--parallel-runs", type=int, default=PARALLEL_RUNS,
-                        help="independent seeded runs in the parallel "
-                             "section")
     parser.add_argument("--grid", metavar="ZONES", default=None,
                         help="also run the vector-core scaling section "
                              "over these comma-separated grid sizes "
@@ -800,18 +729,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"running grid scaling section (zones: "
               f"{', '.join(map(str, zone_counts))})...", flush=True)
         report["grid"] = run_grid_section(zone_counts, repeat=args.repeat)
-    if args.workers > 0:
-        print(f"running parallel section ({args.workers} workers, "
-              f"{args.parallel_runs} runs)...", flush=True)
-        parallel = run_parallel_section(args.workers,
-                                        runs=args.parallel_runs)
-        report["parallel"] = parallel
-        print(f"  pooled {parallel['wall_s']:.2f}s vs serial "
-              f"{parallel['serial_wall_s']:.2f}s | "
-              f"{parallel['agg_sim_s_per_wall_s']:,.0f} "
-              f"aggregate sim-s/wall-s | "
-              f"speedup {parallel['parallel_speedup']:.2f}x on "
-              f"{parallel['cpu_count']} core(s)")
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -17,9 +17,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.analysis.export import export_summary_json, export_traces_csv
+from repro.analysis.export import (
+    export_summary_json,
+    export_traces_csv,
+    write_report_json,
+)
 from repro.core.config import BubbleZeroConfig, NetworkConfig
 from repro.scenarios.spec import (
     SCRIPT_BUILDERS,
@@ -100,11 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated base scenario cells; every "
                               "controller runs each cell (default: "
                               "paper-vc)")
-    bakeoff.add_argument("--seeds", type=int, default=2,
-                         help="number of replicate seeds per cell "
-                              "(default: 2)")
-    bakeoff.add_argument("--seed-base", type=int, default=7,
-                         help="first seed of the range (default: 7)")
     bakeoff.add_argument("--minutes", type=float, default=30.0,
                          help="run length per cell (default: 30)")
     bakeoff.add_argument("--warmup-minutes", type=float, default=5.0,
@@ -112,15 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 5)")
     bakeoff.add_argument("--window-minutes", type=float, default=10.0,
                          help="rolling SLO window length (default: 10)")
-    bakeoff.add_argument("--workers", type=int, default=None,
-                         help="process-pool width (default: cpu count, "
-                              "capped at the number of runs)")
-    bakeoff.add_argument("--timeout-s", type=float, default=None,
-                         help="per-run wall-clock timeout (workers > 1)")
-    bakeoff.add_argument("--report", metavar="PATH",
-                         help="write the rendered report here")
-    bakeoff.add_argument("--json", metavar="PATH", dest="json_path",
-                         help="write the machine-readable report here")
+    _add_matrix_options(bakeoff, seeds=(2, 7))
 
     cop = sub.add_parser("cop", help="steady-state COP report (Fig. 11)")
     cop.add_argument("--seed", type=int, default=7)
@@ -157,31 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--controller", metavar="NAME", default="pid",
                           help="control stack for baseline and cells "
                                "(see `repro controllers`; default: pid)")
-    campaign.add_argument("--workers", type=int, default=None,
-                          help="process-pool width (default: cpu count, "
-                               "capped at the number of runs)")
-    campaign.add_argument("--timeout-s", type=float, default=None,
-                          help="per-run wall-clock timeout (workers > 1)")
-    campaign.add_argument("--report", metavar="PATH",
-                          help="write the markdown report here")
-    campaign.add_argument("--json", metavar="PATH", dest="json_path",
-                          help="write the machine-readable report here")
-    campaign.add_argument("--telemetry", metavar="DIR", default=None,
-                          help="record per-run observability (events, "
-                               "metrics, health, profile) into this "
-                               "directory; runs stay bit-identical")
-    campaign.add_argument("--trace", action="store_true",
-                          help="also record per-run causal traces "
-                               "(trace.jsonl; requires --telemetry)")
+    _add_matrix_options(campaign, telemetry=True)
 
     sweep = sub.add_parser(
         "sweep",
         help="replicate a trial across seeds and aggregate the paper "
              "metrics (mean/stddev/min/max)")
-    sweep.add_argument("--seeds", type=int, default=5,
-                       help="number of replicate seeds (default: 5)")
-    sweep.add_argument("--seed-base", type=int, default=1,
-                       help="first seed of the range (default: 1)")
     sweep.add_argument("--minutes", type=float, default=105.0,
                        help="run length per replicate (default: the "
                             "paper's 105)")
@@ -197,21 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--controller", metavar="NAME", default="pid",
                        help="control stack for every replicate (see "
                             "`repro controllers`; default: pid)")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="process-pool width (default: cpu count, "
-                            "capped at the number of replicates)")
-    sweep.add_argument("--timeout-s", type=float, default=None,
-                       help="per-run wall-clock timeout (workers > 1)")
-    sweep.add_argument("--report", metavar="PATH",
-                       help="write the markdown report here")
-    sweep.add_argument("--json", metavar="PATH", dest="json_path",
-                       help="write the machine-readable report here")
-    sweep.add_argument("--telemetry", metavar="DIR", default=None,
-                       help="record per-replicate observability into "
-                            "this directory; runs stay bit-identical")
-    sweep.add_argument("--trace", action="store_true",
-                       help="also record per-replicate causal traces "
-                            "(trace.jsonl; requires --telemetry)")
+    _add_matrix_options(sweep, seeds=(5, 1), telemetry=True)
 
     chaos = sub.add_parser(
         "chaos",
@@ -222,10 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "chaos-paper; chaos-grid-8/-32 scale out)")
     chaos.add_argument("--hours", type=float, default=48.0,
                        help="endurance horizon per run (default: 48)")
-    chaos.add_argument("--seeds", type=int, default=1,
-                       help="number of hazard seeds (default: 1)")
-    chaos.add_argument("--seed-base", type=int, default=7,
-                       help="first seed of the range (default: 7)")
     chaos.add_argument("--controllers", default="adaptive,fixed",
                        help="comma-separated controller variants to run "
                             "per seed (default: adaptive,fixed)")
@@ -242,29 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--rate-scale", type=float, default=1.0,
                        help="multiply every hazard rate (and accelerate "
                             "battery wear-out) by this factor")
-    chaos.add_argument("--workers", type=int, default=None,
-                       help="process-pool width (default: cpu count, "
-                            "capped at the number of runs)")
-    chaos.add_argument("--timeout-s", type=float, default=None,
-                       help="per-run wall-clock timeout (workers > 1)")
     chaos.add_argument("--jsonl", metavar="PATH",
                        help="stream incremental SLO report rows here "
                             "(one JSON object per line)")
-    chaos.add_argument("--json", metavar="PATH", dest="json_path",
-                       help="write the full machine-readable report "
-                            "here")
-    chaos.add_argument("--report", metavar="PATH",
-                       help="write the markdown report here")
-    chaos.add_argument("--telemetry", metavar="DIR", default=None,
-                       help="record per-run observability artifacts "
-                            "into this directory")
-    chaos.add_argument("--trace", action="store_true",
-                       help="also record per-run causal traces and "
-                            "fold p95 data-age / fault-age-delta "
-                            "columns into the SLO report")
     chaos.add_argument("--strict", action="store_true",
                        help="exit 1 when any run misses its SLO "
                             "budgets (execution failures always exit 1)")
+    _add_matrix_options(chaos, seeds=(1, 7), telemetry=True)
 
     trace = sub.add_parser(
         "trace",
@@ -303,6 +241,42 @@ def build_parser() -> argparse.ArgumentParser:
                              "event and manifest schemas (exit 1 on any "
                              "problem)")
     return parser
+
+
+def _add_matrix_options(parser: argparse.ArgumentParser, *,
+                        seeds: Optional[Tuple[int, int]] = None,
+                        telemetry: bool = False) -> None:
+    """The options the matrix subcommands (bakeoff, campaign, sweep,
+    chaos) share, declared once: pool width and timeout, the report
+    outputs, and — where the command has them — a seed range
+    (``seeds`` = default count and first seed) and telemetry."""
+    if seeds is not None:
+        count, base = seeds
+        parser.add_argument("--seeds", type=int, default=count,
+                            help="number of seeds, counting up from "
+                                 f"--seed-base (default: {count})")
+        parser.add_argument("--seed-base", type=int, default=base,
+                            help=f"first seed of the range (default: "
+                                 f"{base})")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="process-pool width (default: cpu count, "
+                             "capped at the number of runs)")
+    parser.add_argument("--timeout-s", type=float, default=None,
+                        help="per-run wall-clock timeout (workers > 1)")
+    parser.add_argument("--report", metavar="PATH",
+                        help="write the markdown report here")
+    parser.add_argument("--json", metavar="PATH", dest="json_path",
+                        help="write the machine-readable report here")
+    if telemetry:
+        parser.add_argument("--telemetry", metavar="DIR", default=None,
+                            help="record per-run observability (events, "
+                                 "metrics, health, profile) into this "
+                                 "directory; runs stay bit-identical")
+        parser.add_argument("--trace", action="store_true",
+                            help="also record per-run causal traces "
+                                 "(trace.jsonl in the --telemetry "
+                                 "directory; chaos also folds p95 data "
+                                 "age into its SLO report)")
 
 
 def _run_scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
@@ -358,8 +332,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = _run_scenario_spec(args)
     except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     obs = None
     if args.telemetry:
         from repro.obs import create_observability
@@ -436,44 +409,40 @@ def cmd_controllers(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bakeoff(args: argparse.Namespace) -> int:
-    import json
+def _names(text: str) -> Tuple[str, ...]:
+    """A comma-separated option value as a tuple of non-empty names."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _seed_range(args: argparse.Namespace) -> Tuple[int, ...]:
+    return tuple(range(args.seed_base, args.seed_base + args.seeds))
+
+
+def _usage_error(exc: Exception) -> int:
+    """Report a rejected configuration; exit status 2."""
+    print(exc.args[0] if exc.args else exc, file=sys.stderr)
+    return 2
+
+
+def _workers(args: argparse.Namespace, runs: int) -> int:
+    """``--workers``, or the cpu-count default capped at ``runs``."""
+    from repro.runtime.pool import default_worker_count
+
+    return (default_worker_count(runs) if args.workers is None
+            else args.workers)
+
+
+def _print_line(message: str) -> None:
+    print(f"  {message}", flush=True)
+
+
+def _finish_matrix(args: argparse.Namespace, result, report: str,
+                   unit: str = "runs") -> int:
+    """The shared tail of a matrix command: print the rendered report,
+    write ``--report``/``--json`` and exit 1 if any run failed to
+    execute."""
     from pathlib import Path
 
-    from repro.runtime.pool import default_worker_count
-    from repro.workloads.bakeoff import (
-        BakeoffConfig,
-        bakeoff_specs,
-        run_bakeoff,
-    )
-
-    controllers = tuple(name.strip()
-                        for name in args.controllers.split(",")
-                        if name.strip())
-    scenarios = tuple(name.strip() for name in args.scenarios.split(",")
-                      if name.strip())
-    seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
-    try:
-        config = BakeoffConfig(controllers=controllers,
-                               scenarios=scenarios, seeds=seeds,
-                               minutes=args.minutes,
-                               warmup_minutes=args.warmup_minutes,
-                               window_minutes=args.window_minutes)
-        # Resolve every cell up front so a scenario typo fails before
-        # any run starts.
-        specs = bakeoff_specs(config)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    workers = (default_worker_count(len(specs)) if args.workers is None
-               else args.workers)
-    print(f"{len(specs)} run(s): {len(controllers)} controller(s) x "
-          f"{len(scenarios)} cell(s) x {len(seeds)} seed(s), "
-          f"{workers} worker(s)")
-    result = run_bakeoff(config,
-                         progress=lambda m: print(f"  {m}", flush=True),
-                         workers=workers, timeout_s=args.timeout_s)
-    report = result.render()
     print()
     print(report)
     if args.report:
@@ -482,18 +451,41 @@ def cmd_bakeoff(args: argparse.Namespace) -> int:
         out.write_text(report + "\n")
         print(f"wrote report to {args.report}")
     if args.json_path:
-        out = Path(args.json_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as handle:
-            json.dump(result.report_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+        write_report_json(result.report_dict(), args.json_path)
         print(f"wrote JSON to {args.json_path}")
     if result.failures:
         names = ", ".join(f.label for f in result.failures)
-        print(f"runs that failed to execute: {names}")
+        print(f"{unit} that failed to execute: {names}")
         return 1
     return 0
+
+
+def cmd_bakeoff(args: argparse.Namespace) -> int:
+    from repro.workloads.bakeoff import (
+        BakeoffConfig,
+        bakeoff_specs,
+        run_bakeoff,
+    )
+
+    try:
+        config = BakeoffConfig(controllers=_names(args.controllers),
+                               scenarios=_names(args.scenarios),
+                               seeds=_seed_range(args),
+                               minutes=args.minutes,
+                               warmup_minutes=args.warmup_minutes,
+                               window_minutes=args.window_minutes)
+        # Resolve every cell up front so a scenario typo fails before
+        # any run starts.
+        runs = len(bakeoff_specs(config))
+    except (KeyError, ValueError) as exc:
+        return _usage_error(exc)
+    workers = _workers(args, runs)
+    print(f"{runs} run(s): {len(config.controllers)} controller(s) x "
+          f"{len(config.scenarios)} cell(s) x {len(config.seeds)} "
+          f"seed(s), {workers} worker(s)")
+    result = run_bakeoff(config, progress=_print_line, workers=workers,
+                         timeout_s=args.timeout_s)
+    return _finish_matrix(args, result, result.render())
 
 
 def cmd_cop(args: argparse.Namespace) -> int:
@@ -559,11 +551,7 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis.export import export_campaign_json
     from repro.analysis.reporting import render_campaign_report
-    from repro.runtime.pool import default_worker_count
     from repro.workloads.campaign import (
         CampaignExecutionError,
         filter_cells,
@@ -584,57 +572,36 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         overrides["warmup_minutes"] = args.warmup_minutes
     if args.controller != "pid":
         overrides["controller"] = args.controller
-    if overrides:
+    try:
+        cells = config.cells
+        if args.only:
+            cells = filter_cells(cells, args.only)
+        if args.cells:
+            by_name = {cell.name: cell for cell in cells}
+            wanted = _names(args.cells)
+            unknown = [name for name in wanted if name not in by_name]
+            if unknown:
+                raise ValueError(
+                    f"unknown campaign cell(s): {', '.join(unknown)}; "
+                    f"available: {', '.join(by_name)}")
+            cells = [by_name[name] for name in wanted]
         # replace() re-runs CampaignConfig validation, so a warmup that
-        # no longer fits the shortened run fails here, not mid-campaign.
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    if args.only:
-        try:
-            config.cells = filter_cells(config.cells, args.only)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    if args.cells:
-        wanted = [name.strip() for name in args.cells.split(",")
-                  if name.strip()]
-        by_name = {cell.name: cell for cell in config.cells}
-        unknown = [name for name in wanted if name not in by_name]
-        if unknown:
-            print(f"unknown campaign cell(s): {', '.join(unknown)}; "
-                  f"available: {', '.join(by_name)}", file=sys.stderr)
-            return 2
-        config.cells = [by_name[name] for name in wanted]
-    workers = (default_worker_count(len(config.cells) + 1)
-               if args.workers is None else args.workers)
+        # no longer fits the shortened run or a repeated cell fails
+        # here, not mid-campaign.
+        config = dataclasses.replace(config, cells=cells, **overrides)
+    except ValueError as exc:
+        return _usage_error(exc)
+    workers = _workers(args, len(config.cells) + 1)
     print(f"{len(config.cells)} cells + baseline, {workers} worker(s)")
     try:
         result = run_campaign(
-            config, progress=lambda m: print(f"  {m}", flush=True),
-            workers=workers, timeout_s=args.timeout_s,
-            telemetry_dir=args.telemetry, trace=args.trace)
+            config, progress=_print_line, workers=workers,
+            timeout_s=args.timeout_s, telemetry_dir=args.telemetry,
+            trace=args.trace)
     except CampaignExecutionError as exc:
         print(f"campaign aborted: {exc}", file=sys.stderr)
         return 1
-    report = render_campaign_report(result)
-    print()
-    print(report)
-    if args.report:
-        out = Path(args.report)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report + "\n")
-        print(f"wrote report to {args.report}")
-    if args.json_path:
-        export_campaign_json(result, args.json_path)
-        print(f"wrote JSON to {args.json_path}")
-    status = 0
-    if result.failures:
-        names = ", ".join(f.label for f in result.failures)
-        print(f"runs that failed to execute: {names}")
-        status = 1
+    status = _finish_matrix(args, result, render_campaign_report(result))
     failed = [cell.cell.name for cell in result.cells
               if cell.graceful is False]
     if failed:
@@ -645,18 +612,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis.export import export_sweep_json
     from repro.analysis.reporting import render_sweep_report
-    from repro.runtime.pool import default_worker_count
     from repro.runtime.progress import ProgressPrinter
     from repro.workloads.sweep import SweepConfig, run_sweep
 
     if args.trace and not args.telemetry:
         print("--trace requires --telemetry", file=sys.stderr)
         return 2
-    seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
+    seeds = _seed_range(args)
     try:
         config = SweepConfig(seeds=seeds, run_minutes=args.minutes,
                              warmup_minutes=args.warmup_minutes,
@@ -665,99 +628,54 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              direct=args.direct, fixed_tx=args.fixed_tx,
                              controller=args.controller)
     except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    workers = (default_worker_count(len(seeds)) if args.workers is None
-               else args.workers)
+        return _usage_error(exc)
+    workers = _workers(args, len(seeds))
     print(f"{len(seeds)} replicates (seeds {seeds[0]}..{seeds[-1]}), "
           f"{config.run_minutes:g} min each, {workers} worker(s)")
     result = run_sweep(config, workers=workers, timeout_s=args.timeout_s,
                        progress=ProgressPrinter(len(seeds)),
                        telemetry_dir=args.telemetry, trace=args.trace)
-    report = render_sweep_report(result)
-    print()
-    print(report)
-    if args.report:
-        out = Path(args.report)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report + "\n")
-        print(f"wrote report to {args.report}")
-    if args.json_path:
-        export_sweep_json(result, args.json_path)
-        print(f"wrote JSON to {args.json_path}")
-    if result.failures:
-        names = ", ".join(f.label for f in result.failures)
-        print(f"replicates that failed to execute: {names}")
-        return 1
-    return 0
+    return _finish_matrix(args, result, render_sweep_report(result),
+                          unit="replicates")
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.analysis.reporting import render_chaos_report
-    from repro.runtime.pool import default_worker_count
     from repro.workloads.chaos import (
         ChaosConfig,
         HazardConfig,
+        chaos_specs,
         quick_hazard,
         run_chaos,
     )
 
-    seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
-    controllers = tuple(name.strip()
-                        for name in args.controllers.split(",")
-                        if name.strip())
     try:
         hazard = (quick_hazard() if args.hazard == "quick"
                   else HazardConfig())
         if args.rate_scale != 1.0:
             hazard = hazard.scaled(args.rate_scale)
         config = ChaosConfig(scenario=args.scenario, hours=args.hours,
-                             seeds=seeds, controllers=controllers,
+                             seeds=_seed_range(args),
+                             controllers=_names(args.controllers),
                              window_minutes=args.window_minutes,
                              warmup_minutes=args.warmup_minutes,
                              hazard=hazard, trace=args.trace)
         # Resolve the scenario (and its network mode) before any run
         # starts, so a typo or a direct-mode base fails immediately.
-        from repro.workloads.chaos import chaos_specs
-        chaos_specs(config)
+        runs = len(chaos_specs(config))
     except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    runs = len(seeds) * len(controllers)
-    workers = (default_worker_count(runs) if args.workers is None
-               else args.workers)
+        return _usage_error(exc)
+    workers = _workers(args, runs)
     print(f"{runs} endurance run(s) ({args.hours:g} h each, scenario "
           f"{config.scenario}), {workers} worker(s)")
-    result = run_chaos(config,
-                       progress=lambda m: print(f"  {m}", flush=True),
-                       workers=workers, timeout_s=args.timeout_s,
-                       jsonl_path=args.jsonl,
+    result = run_chaos(config, progress=_print_line, workers=workers,
+                       timeout_s=args.timeout_s, jsonl_path=args.jsonl,
                        telemetry_dir=args.telemetry)
-    report = render_chaos_report(result)
-    print()
-    print(report)
     if args.jsonl:
         print(f"streamed SLO rows to {args.jsonl}")
-    if args.report:
-        out = Path(args.report)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report + "\n")
-        print(f"wrote report to {args.report}")
-    if args.json_path:
-        out = Path(args.json_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as handle:
-            json.dump(result.report_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote JSON to {args.json_path}")
-    if result.failures:
-        names = ", ".join(f.label for f in result.failures)
-        print(f"runs that failed to execute: {names}")
-        return 1
+    status = _finish_matrix(args, result, render_chaos_report(result))
+    if status:
+        return status
     breached = [run.label for run in result.runs
                 if not run.report.passed]
     if breached:
@@ -842,13 +760,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"\nwrote Chrome trace to {out} "
               "(open in chrome://tracing or ui.perfetto.dev)")
     if args.save_summary:
-        out = Path(args.save_summary)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True,
-                      default=float)
-            handle.write("\n")
-        print(f"wrote data-age summary to {out}")
+        write_report_json(summary, args.save_summary)
+        print(f"wrote data-age summary to {args.save_summary}")
     if args.diff:
         try:
             with open(args.diff, "r", encoding="utf-8") as handle:

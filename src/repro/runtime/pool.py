@@ -48,7 +48,7 @@ import sys
 import time
 from collections import deque
 from multiprocessing.connection import wait as _connection_wait
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from repro.obs.events import EventLog, worker_record
 from repro.runtime.progress import (
@@ -73,6 +73,8 @@ DEFAULT_START_METHOD = "spawn"
 _POLL_S = 0.25
 
 RunPayload = Union[RunResult, RunFailure]
+
+MatrixResult = TypeVar("MatrixResult")
 
 
 def default_worker_count(n_tasks: Optional[int] = None) -> int:
@@ -119,6 +121,44 @@ def run_specs(specs: Sequence[RunSpec],
         return _run_serial(specs, progress)
     return _run_pooled(specs, workers, timeout_s, retries, progress,
                        start_method)
+
+
+def run_matrix(specs: Sequence[RunSpec],
+               merge: Callable[[List[RunPayload]], MatrixResult],
+               manifest: dict,
+               *,
+               workers: Optional[int] = 1,
+               timeout_s: Optional[float] = None,
+               progress: Optional[ProgressCallback] = None,
+               telemetry_dir: Optional[str] = None) -> MatrixResult:
+    """The one matrix pipeline: specs -> pool -> merge -> telemetry.
+
+    Every matrix workload (campaign, sweep, chaos, bake-off) is a spec
+    builder, a merger and a manifest around this call.  ``merge`` folds
+    the in-spec-order payloads into the workload's result, which gets
+    ``manifest`` as its ``.manifest``; a merger that raises (a
+    campaign whose baseline failed) aborts before anything is written.
+
+    ``telemetry_dir`` records the pool's worker lifecycle events and
+    writes the artifact directory of :mod:`repro.obs.status` from the
+    runs' observability payloads, in spec order.  The specs must carry
+    telemetry for their runs to contribute payloads.
+    """
+    specs = list(specs)
+    pool_events = (EventLog(enabled=True) if telemetry_dir is not None
+                   else None)
+    payloads = run_specs(specs, workers=workers, timeout_s=timeout_s,
+                         progress=progress, obs_events=pool_events)
+    result = merge(payloads)
+    result.manifest = manifest
+    if pool_events is not None:
+        from repro.obs.status import write_run_telemetry
+        write_run_telemetry(
+            telemetry_dir, manifest, [spec.label for spec in specs],
+            {payload.label: payload.obs for payload in payloads
+             if not isinstance(payload, RunFailure)},
+            pool_events.records)
+    return result
 
 
 def _tee_progress(progress: Optional[ProgressCallback],

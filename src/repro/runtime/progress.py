@@ -80,6 +80,21 @@ class ProgressPrinter:
                         f"FAILED {event.label}: {event.detail}")
 
 
+def first_starts(write: Optional[Callable[[str], None]],
+                 describe: Callable[[ProgressEvent], str]
+                 ) -> Optional[ProgressCallback]:
+    """A callback that writes ``describe(event)`` once per spec, when
+    its first attempt starts (retries stay silent); ``None`` when there
+    is nothing to write to."""
+    if write is None:
+        return None
+
+    def callback(event: ProgressEvent) -> None:
+        if event.kind == STARTED and not event.attempt:
+            write(describe(event))
+    return callback
+
+
 def emit(progress: Optional[ProgressCallback],
          event: ProgressEvent) -> None:
     """Deliver ``event`` if a callback is registered; never raise."""

@@ -12,8 +12,9 @@ switch.  The legacy keyword surface (``config=``, ``faults=``,
 simply builds the scenario inline.
 
 The worker returns only a compact :class:`RunResult` — outcome,
-discrete hash, paper metrics, timing — never a live system, so the
-payload crossing the process boundary stays small and spawn-safe.
+discrete hash, physics state digest, paper metrics, timing — never a
+live system, so the payload crossing the process boundary stays small
+and spawn-safe.
 
 Execution is a pure function of the spec: the same spec produces the
 same :class:`RunResult` (minus wall-clock timing) whether it runs in
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace as _dc_replace
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.degradation import RunOutcome, summarize_run
-from repro.analysis.fingerprint import discrete_log_hash
+from repro.analysis.fingerprint import discrete_log_hash, state_digest
 from repro.core.config import BubbleZeroConfig
 from repro.scenarios.spec import (
     SCRIPT_BUILDERS,  # noqa: F401  (re-exported for compat)
@@ -128,6 +129,11 @@ class RunResult:
     label: str
     outcome: RunOutcome
     discrete_hash: str
+    # SHA-256 of the exact final physics state
+    # (repro.analysis.fingerprint.state_digest): the identity oracle
+    # for runs whose discrete log is constant (direct control).  Never
+    # written into a report, so report bytes do not depend on it.
+    state_digest: str
     metrics: Dict[str, float]
     wall_s: float
     sim_s: float
@@ -220,6 +226,7 @@ def execute_spec(spec: RunSpec, attempt: int = 0) -> RunResult:
         label=spec.label,
         outcome=outcome,
         discrete_hash=discrete_log_hash(system),
+        state_digest=state_digest(system),
         metrics=paper_metrics(system, outcome),
         wall_s=time.perf_counter() - t0,
         sim_s=spec.run_minutes * 60.0,

@@ -273,13 +273,6 @@ def _register_all() -> None:
         warmup_minutes=30.0))
 
     register_scenario(ScenarioSpec(
-        name="bench-parallel",
-        description="per-seed run shape of the bench parallel fan-out "
-                    "section",
-        config=BubbleZeroConfig(seed=1),
-        run_minutes=45.0))
-
-    register_scenario(ScenarioSpec(
         name="tropical-day",
         description="paper layout under the sinusoidal tropical "
                     "weather model instead of constant design-day air",

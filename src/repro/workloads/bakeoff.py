@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.bakeoff import (
@@ -184,18 +185,11 @@ def run_bakeoff(config: BakeoffConfig,
                 workers: int = 1,
                 timeout_s: Optional[float] = None) -> BakeoffResult:
     """Run the matrix through the pool and score every run."""
-    from repro.runtime.pool import run_specs
-    from repro.runtime.progress import STARTED, ProgressEvent
+    from repro.runtime.pool import run_matrix
+    from repro.runtime.progress import first_starts
 
-    specs = bakeoff_specs(config)
-
-    def describe(event: ProgressEvent) -> None:
-        if progress is None or event.kind != STARTED or event.attempt:
-            return
-        progress(f"run {event.label} ({config.minutes:g} min)")
-
-    payloads = run_specs(specs, workers=workers, timeout_s=timeout_s,
-                         progress=describe)
-    result = merge_bakeoff(config, payloads)
-    result.manifest = bakeoff_manifest(config)
-    return result
+    return run_matrix(
+        bakeoff_specs(config), partial(merge_bakeoff, config),
+        bakeoff_manifest(config), workers=workers, timeout_s=timeout_s,
+        progress=first_starts(progress, lambda event: (
+            f"run {event.label} ({config.minutes:g} min)")))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.degradation import (
@@ -34,10 +35,9 @@ from repro.analysis.degradation import (
     compare_outcomes,
     is_graceful,
 )
-from repro.obs.events import EventLog
 from repro.obs.manifest import build_manifest
-from repro.runtime.pool import RunPayload, run_specs
-from repro.runtime.progress import STARTED, ProgressEvent
+from repro.runtime.pool import RunPayload, run_matrix
+from repro.runtime.progress import ProgressEvent, first_starts
 from repro.runtime.spec import RunFailure, RunSpec, shift_fault
 from repro.scenarios.registry import full_cell_faults, quick_cell_faults
 from repro.scenarios.spec import ScenarioSpec
@@ -354,32 +354,17 @@ def run_campaign(config: CampaignConfig,
     run, adding ``trace.jsonl`` to the telemetry directory — equally
     non-perturbing (the trace-on/off equivalence oracle covers it).
     """
-    telemetry = telemetry_dir is not None
-    specs = campaign_specs(config, telemetry=telemetry, trace=trace)
-
-    def describe(event: ProgressEvent) -> None:
-        if progress is None or event.kind != STARTED or event.attempt:
-            return
+    def describe(event: ProgressEvent) -> str:
         if event.index == 0:
-            progress(f"baseline ({config.run_minutes:g} min, "
-                     f"seed {config.seed})")
-        else:
-            cell = config.cells[event.index - 1]
-            progress(f"cell {cell.name}: {cell.describe()}")
+            return (f"baseline ({config.run_minutes:g} min, "
+                    f"seed {config.seed})")
+        cell = config.cells[event.index - 1]
+        return f"cell {cell.name}: {cell.describe()}"
 
-    pool_events = EventLog(enabled=True) if telemetry else None
-    payloads = run_specs(specs, workers=workers, timeout_s=timeout_s,
-                         progress=describe, obs_events=pool_events)
-    result = merge_campaign(config, payloads)
-    result.manifest = campaign_manifest(config)
-    if telemetry:
-        from repro.obs.status import write_run_telemetry
-        obs_payloads = {
-            payload.label: payload.obs
-            for payload in payloads
-            if not isinstance(payload, RunFailure)
-        }
-        write_run_telemetry(telemetry_dir, result.manifest,
-                            [spec.label for spec in specs], obs_payloads,
-                            pool_events.records)
-    return result
+    return run_matrix(
+        campaign_specs(config, telemetry=telemetry_dir is not None,
+                       trace=trace),
+        partial(merge_campaign, config), campaign_manifest(config),
+        workers=workers, timeout_s=timeout_s,
+        progress=first_starts(progress, describe),
+        telemetry_dir=telemetry_dir)

@@ -47,6 +47,7 @@ import dataclasses
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -594,25 +595,17 @@ def run_chaos(config: ChaosConfig,
     """
     import os
 
-    from repro.obs.events import EventLog, to_jsonl
-    from repro.runtime.pool import run_specs
-    from repro.runtime.progress import STARTED, ProgressEvent
-    from repro.runtime.spec import RunFailure
+    from repro.obs.events import to_jsonl
+    from repro.runtime.pool import run_matrix
+    from repro.runtime.progress import first_starts
 
-    specs = chaos_specs(config)
-
-    def describe(event: ProgressEvent) -> None:
-        if progress is None or event.kind != STARTED or event.attempt:
-            return
-        progress(f"run {event.label} ({config.hours:g} h, "
-                 f"{config.scenario})")
-
-    pool_events = EventLog(enabled=True) if telemetry_dir else None
-    payloads = run_specs(specs, workers=workers, timeout_s=timeout_s,
-                         progress=describe, obs_events=pool_events)
-    result = merge_chaos(config, payloads)
-    result.manifest = chaos_manifest(config)
-
+    result = run_matrix(
+        chaos_specs(config), partial(merge_chaos, config),
+        chaos_manifest(config), workers=workers, timeout_s=timeout_s,
+        progress=first_starts(progress, lambda event: (
+            f"run {event.label} ({config.hours:g} h, "
+            f"{config.scenario})")),
+        telemetry_dir=telemetry_dir)
     if jsonl_path is not None:
         parent = os.path.dirname(jsonl_path)
         if parent:
@@ -621,16 +614,4 @@ def run_chaos(config: ChaosConfig,
             for row in result.jsonl_rows():
                 handle.write(to_jsonl([row]))
                 handle.flush()
-
-    if telemetry_dir is not None:
-        from repro.obs.status import write_run_telemetry
-
-        obs_payloads = {
-            payload.label: payload.obs
-            for payload in payloads
-            if not isinstance(payload, RunFailure)
-        }
-        write_run_telemetry(telemetry_dir, result.manifest,
-                            [spec.label for spec in specs],
-                            obs_payloads, pool_events.records)
     return result

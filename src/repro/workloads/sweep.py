@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import BubbleZeroConfig, NetworkConfig
-from repro.obs.events import EventLog
 from repro.obs.manifest import build_manifest
-from repro.runtime.pool import RunPayload
+from repro.runtime.pool import RunPayload, run_matrix
 from repro.runtime.spec import RunFailure, RunResult, RunSpec
 from repro.scenarios.registry import get_scenario
 
@@ -197,30 +197,19 @@ def run_sweep(config: SweepConfig,
               progress=None,
               telemetry_dir: Optional[str] = None,
               trace: bool = False) -> SweepResult:
-    """Execute the sweep; see :func:`repro.runtime.pool.run_specs` for
-    the worker/timeout/retry semantics.
+    """Execute the sweep through :func:`repro.runtime.pool.run_matrix`.
 
+    ``progress`` receives every raw pool event (e.g. a
+    :class:`~repro.runtime.progress.ProgressPrinter`).
     ``telemetry_dir`` enables per-replicate observability and writes
     the artifact directory described in :mod:`repro.obs.status`;
     metrics and hashes are identical with telemetry on or off.
     ``trace`` additionally enables causal tracing per replicate,
     adding ``trace.jsonl``.
     """
-    from repro.runtime.pool import run_specs
-
-    telemetry = telemetry_dir is not None
-    specs = sweep_specs(config, telemetry=telemetry, trace=trace)
-    pool_events = EventLog(enabled=True) if telemetry else None
-    payloads = run_specs(specs, workers=workers,
-                         timeout_s=timeout_s, progress=progress,
-                         obs_events=pool_events)
-    result = merge_sweep(config, payloads)
-    result.manifest = sweep_manifest(config)
-    if telemetry:
-        from repro.obs.status import write_run_telemetry
-        obs_payloads = {payload.label: payload.obs for payload in payloads
-                        if not isinstance(payload, RunFailure)}
-        write_run_telemetry(telemetry_dir, result.manifest,
-                            [spec.label for spec in specs], obs_payloads,
-                            pool_events.records)
-    return result
+    return run_matrix(
+        sweep_specs(config, telemetry=telemetry_dir is not None,
+                    trace=trace),
+        partial(merge_sweep, config), sweep_manifest(config),
+        workers=workers, timeout_s=timeout_s, progress=progress,
+        telemetry_dir=telemetry_dir)

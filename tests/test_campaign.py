@@ -122,14 +122,13 @@ class TestRunCampaign:
 
 class TestReportRendering:
     def test_json_round_trip(self, tmp_path):
-        from repro.analysis.export import (
-            export_campaign_json,
-            load_campaign_json,
-        )
+        import json
+
+        from repro.analysis.export import write_report_json
         result = run_campaign(mini_config())
         path = tmp_path / "campaign.json"
-        export_campaign_json(result, str(path))
-        loaded = load_campaign_json(str(path))
+        write_report_json(result.report_dict(), str(path))
+        loaded = json.loads(path.read_text())
         assert loaded["seed"] == 7
         assert [c["name"] for c in loaded["cells"]] == ["crash", "stick"]
         assert loaded["baseline_hash"] == result.baseline_hash

@@ -46,6 +46,101 @@ class TestParser:
         assert args.hours == 1.5
 
 
+def _surface(command):
+    """option string -> (dest, default, kind) for one subcommand."""
+    import argparse
+
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    surface = {}
+    for action in sub.choices[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        kind = ("flag" if isinstance(action, argparse._StoreTrueAction)
+                else getattr(action.type, "__name__", "str"))
+        for option in action.option_strings:
+            surface[option] = (action.dest, action.default, kind)
+    return surface
+
+
+class TestMatrixCommandSurface:
+    """Every option of the four matrix subcommands, with its default.
+
+    Pins the command-line contract: sharing option declarations
+    between subcommands must neither add, drop nor re-default one.
+    """
+
+    POOL = {
+        "--workers": ("workers", None, "int"),
+        "--timeout-s": ("timeout_s", None, "float"),
+        "--report": ("report", None, "str"),
+        "--json": ("json_path", None, "str"),
+    }
+    TELEMETRY = {
+        "--telemetry": ("telemetry", None, "str"),
+        "--trace": ("trace", False, "flag"),
+    }
+    EXPECTED = {
+        "bakeoff": {
+            "--controllers": ("controllers", "pid,consensus,deadband",
+                              "str"),
+            "--scenarios": ("scenarios", "paper-vc", "str"),
+            "--seeds": ("seeds", 2, "int"),
+            "--seed-base": ("seed_base", 7, "int"),
+            "--minutes": ("minutes", 30.0, "float"),
+            "--warmup-minutes": ("warmup_minutes", 5.0, "float"),
+            "--window-minutes": ("window_minutes", 10.0, "float"),
+            **POOL,
+        },
+        "campaign": {
+            "--quick": ("quick", False, "flag"),
+            "--seed": ("seed", 7, "int"),
+            "--minutes": ("minutes", None, "float"),
+            "--warmup-minutes": ("warmup_minutes", None, "float"),
+            "--only": ("only", None, "str"),
+            "--cells": ("cells", None, "str"),
+            "--controller": ("controller", "pid", "str"),
+            **POOL, **TELEMETRY,
+        },
+        "sweep": {
+            "--seeds": ("seeds", 5, "int"),
+            "--seed-base": ("seed_base", 1, "int"),
+            "--minutes": ("minutes", 105.0, "float"),
+            "--warmup-minutes": ("warmup_minutes", 30.0, "float"),
+            "--paper-events": ("paper_events", False, "flag"),
+            "--direct": ("direct", False, "flag"),
+            "--fixed-tx": ("fixed_tx", False, "flag"),
+            "--controller": ("controller", "pid", "str"),
+            **POOL, **TELEMETRY,
+        },
+        "chaos": {
+            "--scenario": ("scenario", "chaos-paper", "str"),
+            "--hours": ("hours", 48.0, "float"),
+            "--seeds": ("seeds", 1, "int"),
+            "--seed-base": ("seed_base", 7, "int"),
+            "--controllers": ("controllers", "adaptive,fixed", "str"),
+            "--window-minutes": ("window_minutes", 60.0, "float"),
+            "--warmup-minutes": ("warmup_minutes", 30.0, "float"),
+            "--hazard": ("hazard", "default", "str"),
+            "--rate-scale": ("rate_scale", 1.0, "float"),
+            "--jsonl": ("jsonl", None, "str"),
+            "--strict": ("strict", False, "flag"),
+            **POOL, **TELEMETRY,
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_options_and_defaults(self, command):
+        assert _surface(command) == self.EXPECTED[command]
+
+    def test_chaos_hazard_choices(self):
+        args = build_parser().parse_args(["chaos", "--hazard", "quick"])
+        assert args.hazard == "quick"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["chaos", "--hazard", "fast"])
+
+
 class TestRunCommand:
     def test_short_direct_run(self, capsys, tmp_path):
         csv_path = tmp_path / "t.csv"
@@ -117,8 +212,8 @@ class TestBenchCommand:
             return 5
 
         monkeypatch.setattr(repro.bench, "main", fake_main)
-        argv = ["--trial", "hvac", "--parallel-runs", "2", "--workers",
-                "2", "--baseline", "none.json", "-o", "out.json"]
+        argv = ["--trial", "hvac", "--grid", "4,32", "--repeat", "2",
+                "--baseline", "none.json", "-o", "out.json"]
         assert main(["bench", *argv]) == 5
         assert seen == [argv]
 
@@ -164,6 +259,14 @@ class TestCampaignCommand:
         code = main(["campaign", "--quick", "--cells", "no-such"])
         assert code == 2
         assert "unknown campaign cell" in capsys.readouterr().err
+
+    def test_duplicate_cells_exit_2_before_any_run(self, capsys):
+        code = main(["campaign", "--quick",
+                     "--cells", "stuck-high,stuck-high"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "cell names must be unique" in captured.err
+        assert "baseline" not in captured.out
 
 
 class TestSweepCommand:

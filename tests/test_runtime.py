@@ -25,7 +25,14 @@ from repro.runtime import (
     execute_spec,
     run_specs,
 )
-from repro.runtime.progress import FAILED, FINISHED, RETRIED, STARTED, emit
+from repro.runtime.progress import (
+    FAILED,
+    FINISHED,
+    RETRIED,
+    STARTED,
+    emit,
+    first_starts,
+)
 
 
 def tiny_spec(label="run", seed=3, inject=None, run_minutes=1.0):
@@ -169,6 +176,61 @@ class TestCampaignByteIdentity:
                 == json.dumps(pooled, sort_keys=True, default=float))
 
 
+def _campaign_specs():
+    from tests.test_campaign import mini_config
+    from repro.workloads.campaign import campaign_specs
+
+    return campaign_specs(dataclasses.replace(
+        mini_config(), run_minutes=3.0, warmup_minutes=1.0))
+
+
+def _sweep_specs():
+    from repro.workloads.sweep import SweepConfig, sweep_specs
+
+    return sweep_specs(SweepConfig(seeds=(1, 2), run_minutes=3.0,
+                                   warmup_minutes=1.0))
+
+
+def _chaos_specs():
+    from tests.test_chaos import tiny_config
+    from repro.workloads.chaos import chaos_specs
+
+    return chaos_specs(tiny_config(hours=0.05, window_minutes=1.0,
+                                   warmup_minutes=1.0))
+
+
+def _bakeoff_specs():
+    from tests.test_bakeoff import tiny_config
+    from repro.workloads.bakeoff import bakeoff_specs
+
+    return bakeoff_specs(tiny_config(controllers=("pid", "deadband"),
+                                     minutes=3.0, window_minutes=1.0))
+
+
+class TestPooledPhysicsIdentity:
+    """Every matrix workload's runs end in the same discrete log *and*
+    the same physics state whether they run in-process or in spawned
+    workers."""
+
+    @pytest.mark.parametrize("build", [_campaign_specs, _sweep_specs,
+                                       _chaos_specs, _bakeoff_specs],
+                             ids=["campaign", "sweep", "chaos", "bakeoff"])
+    def test_serial_and_pooled_agree_per_label(self, build):
+        specs = build()
+        serial = run_specs(specs, workers=1)
+        pooled = run_specs(specs, workers=2)
+
+        def identity(payloads):
+            assert all(isinstance(p, RunResult) for p in payloads)
+            return {p.label: (p.discrete_hash, p.state_digest)
+                    for p in payloads}
+
+        expected = identity(serial)
+        assert len(expected) == len(specs)
+        assert all(len(digest) == 64 for _, digest in expected.values())
+        assert identity(pooled) == expected
+
+
 class TestCampaignFailureHandling:
     def _tampered_payloads(self, config, cell_inject=None,
                            baseline_inject=None):
@@ -222,6 +284,18 @@ class TestProgress:
         assert any("[1/2]" in line for line in lines)
         assert any("retry" in line for line in lines)
         assert any("FAILED" in line for line in lines)
+
+    def test_first_starts_announces_each_spec_once(self):
+        lines = []
+        callback = first_starts(lines.append,
+                                lambda event: f"run {event.label}")
+        callback(ProgressEvent(STARTED, 0, "a"))
+        callback(ProgressEvent(FINISHED, 0, "a", wall_s=0.5))
+        callback(ProgressEvent(STARTED, 1, "b"))
+        callback(ProgressEvent(RETRIED, 1, "b", attempt=0, detail="crash"))
+        callback(ProgressEvent(STARTED, 1, "b", attempt=1))
+        assert lines == ["run a", "run b"]
+        assert first_starts(None, str) is None
 
     def test_emit_swallows_callback_errors(self):
         def bad_callback(event):

@@ -153,7 +153,7 @@ class TestRegistryCompleteness:
     EXPECTED = ("paper-va", "paper-vc", "paper-cop", "steady-state",
                 "lifetime-adaptive", "lifetime-fixed", "golden-hvac-va",
                 "golden-network-vc", "campaign-baseline", "sweep-default",
-                "bench-parallel", "tropical-day", "eight-zone")
+                "tropical-day", "eight-zone")
 
     def test_named_experiments_registered(self):
         names = scenario_names()

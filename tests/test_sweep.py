@@ -107,15 +107,14 @@ class TestRunSweep:
         assert "mean" in report
 
     def test_sweep_json_round_trip(self, tmp_path):
-        from repro.analysis.export import (
-            export_sweep_json,
-            load_sweep_json,
-        )
+        import json
+
+        from repro.analysis.export import write_report_json
 
         result = run_sweep(mini_sweep())
         path = tmp_path / "sweep.json"
-        export_sweep_json(result, str(path))
-        loaded = load_sweep_json(str(path))
+        write_report_json(result.report_dict(), str(path))
+        loaded = json.loads(path.read_text())
         assert loaded["seeds"] == [1, 2]
         assert [r["label"] for r in loaded["runs"]] == ["seed-1", "seed-2"]
         assert loaded["aggregates"].keys() == result.aggregates.keys()
