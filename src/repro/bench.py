@@ -5,17 +5,19 @@ phase-two door events, COP metering window) and the §V-C networking
 trial (5 simulated hours, periodic disturbances, BT-ADPT), reporting
 wall-clock time, dispatched events, events per second and simulated
 seconds per wall-clock second, alongside the domain metrics the paper
-reports (COP, comfort, packet counts, lifetimes).
+reports (COP, comfort, packet counts, lifetimes) and the run's physics
+``state_digest``.  Layer-by-layer timing, the grid and the pooled
+bake-off are ``perfbench/``'s job; this harness keeps the full-length
+paper trials, their baseline check and the observability overhead
+budget.
 
 Usage::
 
     PYTHONPATH=src python -m repro.bench                 # both trials
     PYTHONPATH=src python -m repro.bench --trial network
-    PYTHONPATH=src python -m repro.bench --no-macro      # reference physics
-    PYTHONPATH=src python -m repro.bench --grid 4,32,128 # vector scaling
-    PYTHONPATH=src python -m repro.bench -o BENCH_1.json
+    PYTHONPATH=src python -m repro.bench --repeat 3 --obs -o BENCH_7.json
 
-Results are written as JSON (default ``BENCH_1.json`` in the current
+Results are written as JSON (default ``BENCH_2.json`` in the current
 directory).  When a baseline file is available (default
 ``benchmarks/perf/baseline_seed.json``, recorded from the seed commit on
 the same class of machine), each run is compared against it: wall-clock
@@ -23,6 +25,8 @@ speedup for the timing numbers and per-metric deltas checked against the
 tolerances the baseline declares — discrete counters (events, frames,
 collisions) must match exactly, continuous metrics within the small
 relative drift introduced by quantised-key psychrometric memoisation.
+Any mismatch or tolerance breach makes the command exit 1, after the
+report is written.
 """
 
 from __future__ import annotations
@@ -33,17 +37,11 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from dataclasses import replace
-
-from repro.analysis.fingerprint import discrete_log_hash
+from repro.analysis.fingerprint import discrete_log_hash, state_digest
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import prepare_run
-
-# Simulated horizons of the two trials, seconds.
-HVAC_SIM_S = (40 + 20 + 45) * 60.0
-NETWORK_SIM_S = 5 * 3600.0
 
 DEFAULT_BASELINE = Path("benchmarks/perf/baseline_seed.json")
 
@@ -61,39 +59,43 @@ OBS_OVERHEAD_BUDGET_PCT = 3.0
 OBS_CHUNK_S = 60.0
 
 
-# Registry scenarios behind each bench trial; the benchmark is the
-# registered experiment with only the physics path swapped.
-_SCENARIOS = {"hvac": "paper-va", "network": "paper-vc"}
-
-
-def _build_trial(name: str, macro: bool, obs=None):
+def _build_trial(name: str, obs=None):
+    """A fresh system for trial ``name`` (caches cold) and its horizon."""
     from repro.physics import psychrometrics, spectral
 
     psychrometrics.cache_clear()
     spectral.cache_clear()
-    spec = get_scenario(_SCENARIOS[name])
-    spec = replace(spec, config=replace(spec.config,
-                                        physics_macro_step=macro))
+    spec = get_scenario(TRIALS[name].scenario)
     system, _ = prepare_run(spec, obs=obs)
     return system, spec.run_minutes * 60.0
 
 
-def _build_hvac(macro: bool, obs=None):
-    return _build_trial("hvac", macro, obs=obs)
-
-
-def _build_network(macro: bool, obs=None):
-    return _build_trial("network", macro, obs=obs)
-
-
-_BUILDERS = {"hvac": _build_hvac, "network": _build_network}
-
-
-def run_hvac_trial(macro: bool = True, obs=None) -> Dict[str, object]:
-    """The paper §V-A trial: phase-two events, COP metering window."""
+def _result(system, wall_s: float, sim_s: float, obs,
+            **metrics: object) -> Dict[str, object]:
+    """A finalized trial's report entry: timing, identity, ``metrics``."""
     from repro.physics import psychrometrics
 
-    system, _ = _build_hvac(macro, obs=obs)
+    events = system.sim.events_dispatched
+    result: Dict[str, object] = {
+        "wall_s": wall_s,
+        "sim_s": sim_s,
+        "events": events,
+        "events_per_s": events / wall_s,
+        "sim_s_per_wall_s": sim_s / wall_s,
+        "discrete_hash": discrete_log_hash(system),
+        "state_digest": state_digest(system),
+        **metrics,
+        "psychro_cache": psychrometrics.cache_stats(),
+    }
+    if obs is not None:
+        from repro.obs.collect import obs_payload
+        result["obs_payload"] = obs_payload(system, obs)
+    return result
+
+
+def run_hvac_trial(obs=None) -> Dict[str, object]:
+    """The paper §V-A trial: phase-two events, COP metering window."""
+    system, sim_s = _build_trial("hvac", obs=obs)
     system.start()
     t0 = time.perf_counter()
     system.run(minutes=40)
@@ -104,68 +106,51 @@ def run_hvac_trial(macro: bool = True, obs=None) -> Dict[str, object]:
     wall_s = time.perf_counter() - t0
     system.finalize()
     room = system.plant.room
-    result = {
-        "wall_s": wall_s,
-        "sim_s": HVAC_SIM_S,
-        "events": system.sim.events_dispatched,
-        "events_per_s": system.sim.events_dispatched / wall_s,
-        "sim_s_per_wall_s": HVAC_SIM_S / wall_s,
-        "discrete_hash": discrete_log_hash(system),
-        "cop": system.plant.cop_between(before, after),
-        "mean_temp_c": room.mean_temp_c(),
-        "mean_dew_c": room.mean_dew_point_c(),
-        "mean_co2": room.mean_co2_ppm(),
-        "condensation": room.condensation_events,
-        "net": system.network_stats(),
-        "lifetime_cop": system.plant.cop_report(),
-        "psychro_cache": psychrometrics.cache_stats(),
-    }
-    if obs is not None:
-        from repro.obs.collect import obs_payload
-        result["obs_payload"] = obs_payload(system, obs)
-    return result
+    return _result(
+        system, wall_s, sim_s, obs,
+        cop=system.plant.cop_between(before, after),
+        mean_temp_c=room.mean_temp_c(),
+        mean_dew_c=room.mean_dew_point_c(),
+        mean_co2=room.mean_co2_ppm(),
+        condensation=room.condensation_events,
+        net=system.network_stats(),
+        lifetime_cop=system.plant.cop_report())
 
 
-def run_network_trial(macro: bool = True, obs=None) -> Dict[str, object]:
+def run_network_trial(obs=None) -> Dict[str, object]:
     """The paper §V-C trial: 5 h of BT-ADPT under periodic disturbances."""
     import numpy as np
 
-    from repro.physics import psychrometrics
-
-    system, _ = _build_network(macro, obs=obs)
+    system, sim_s = _build_trial("network", obs=obs)
     system.start()
     t0 = time.perf_counter()
-    system.run(hours=5)
+    system.run(seconds=sim_s)
     wall_s = time.perf_counter() - t0
     system.finalize()
     room = system.plant.room
-    result = {
-        "wall_s": wall_s,
-        "sim_s": NETWORK_SIM_S,
-        "events": system.sim.events_dispatched,
-        "events_per_s": system.sim.events_dispatched / wall_s,
-        "sim_s_per_wall_s": NETWORK_SIM_S / wall_s,
-        "discrete_hash": discrete_log_hash(system),
-        "mean_temp_c": room.mean_temp_c(),
-        "mean_dew_c": room.mean_dew_point_c(),
-        "net": system.network_stats(),
-        "mean_lifetime_years": float(np.mean(
-            [n.projected_lifetime_years(NETWORK_SIM_S)
+    return _result(
+        system, wall_s, sim_s, obs,
+        mean_temp_c=room.mean_temp_c(),
+        mean_dew_c=room.mean_dew_point_c(),
+        net=system.network_stats(),
+        mean_lifetime_years=float(np.mean(
+            [n.projected_lifetime_years(sim_s)
              for n in system.bt_nodes])),
-        "mean_tsnd": float(np.mean(
-            [n.send_period_s for n in system.bt_nodes])),
-        "sniffer_frames": system.sniffer.frame_count,
-        "psychro_cache": psychrometrics.cache_stats(),
-    }
-    if obs is not None:
-        from repro.obs.collect import obs_payload
-        result["obs_payload"] = obs_payload(system, obs)
-    return result
+        mean_tsnd=float(np.mean([n.send_period_s for n in system.bt_nodes])),
+        sniffer_frames=system.sniffer.frame_count)
 
 
-TRIALS = {
-    "hvac": run_hvac_trial,
-    "network": run_network_trial,
+class Trial(NamedTuple):
+    """A bench trial: the registry scenario it runs unchanged, and the
+    function that times it and reports its metrics."""
+
+    scenario: str
+    run: Callable[..., Dict[str, object]]
+
+
+TRIALS: Dict[str, Trial] = {
+    "hvac": Trial("paper-va", run_hvac_trial),
+    "network": Trial("paper-vc", run_network_trial),
 }
 
 # Keys that legitimately vary between identical runs (wall clock and
@@ -195,18 +180,18 @@ def domain_mismatches(first: Dict[str, object],
     return mismatches
 
 
-def run_best_of(name: str, macro: bool, repeat: int) -> Dict[str, object]:
+def run_best_of(name: str, repeat: int) -> Dict[str, object]:
     """Run a trial ``repeat`` times; keep the best wall clock.
 
-    Domain metrics must be bit-identical across repeats (the runs are
-    the same pure function of the seed) — any mismatch is a
-    determinism bug and raises rather than silently reporting one of
-    the divergent runs.  Timing derivatives are recomputed from the
-    best wall clock.
+    Domain metrics — the physics ``state_digest`` included — must be
+    bit-identical across repeats (the runs are the same pure function
+    of the seed): any mismatch is a determinism bug and raises rather
+    than silently reporting one of the divergent runs.  Timing
+    derivatives are recomputed from the best wall clock.
     """
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
-    runs = [TRIALS[name](macro=macro) for _ in range(repeat)]
+    runs = [TRIALS[name].run() for _ in range(repeat)]
     for i, other in enumerate(runs[1:], start=2):
         mismatches = domain_mismatches(runs[0], other)
         if mismatches:
@@ -221,121 +206,6 @@ def run_best_of(name: str, macro: bool, repeat: int) -> Dict[str, object]:
     return best
 
 
-# Largest grid where the cache-off control run is still cheap enough to
-# bother timing; beyond this the point is already made and the bench
-# only reports the cached path.
-NOCACHE_MAX_ZONES = 128
-
-
-def run_grid_trial(zones: int, vector: bool,
-                   cache: bool = True) -> Dict[str, object]:
-    """One timed run of the ``grid-<zones>`` scenario on one physics
-    path (``vector=False`` → scalar per-zone objects).
-
-    The spectral cache is cleared first so every trial starts cold;
-    ``cache=False`` disables it outright (every gap re-decomposes),
-    which isolates the cache's contribution to the wall clock.  Either
-    way the trajectory is bit-identical — the cache stores exact
-    decompositions, it never changes them.
-    """
-    from repro.physics import spectral
-
-    spec = get_scenario(f"grid-{zones}")
-    spec = replace(spec, config=replace(spec.config,
-                                        physics_vector=vector))
-    spectral.cache_clear()
-    prev = spectral.configure(enabled=cache)
-    try:
-        system, _ = prepare_run(spec)
-        system.start()
-        t0 = time.perf_counter()
-        system.run(minutes=spec.run_minutes)
-        wall_s = time.perf_counter() - t0
-        system.finalize()
-        stats = spectral.cache_stats()
-    finally:
-        spectral.configure(**prev)
-    events = system.sim.events_dispatched
-    return {
-        "wall_s": wall_s,
-        "sim_s": spec.run_minutes * 60.0,
-        "events": events,
-        "events_per_s": events / wall_s,
-        "zone_events_per_s": zones * events / wall_s,
-        "discrete_hash": discrete_log_hash(system),
-        "mean_temp_c": system.plant.room.mean_temp_c(),
-        "solver": spec.config.physics_solver,
-        "spectral_cache": stats,
-    }
-
-
-def run_grid_section(zone_counts: List[int],
-                     repeat: int = 1) -> Dict[str, object]:
-    """Scaling sweep of the vectorized physics core over grid sizes.
-
-    For each zone count the ``grid-<zones>`` scenario runs on both
-    physics paths (best-of-``repeat`` wall clocks).  The two paths must
-    produce identical discrete log hashes — the SoA core is bit-exact,
-    so any mismatch raises rather than reporting a speedup over
-    different physics.
-    """
-    section: Dict[str, object] = {"rows": []}
-    for zones in zone_counts:
-        scalar = min((run_grid_trial(zones, vector=False)
-                      for _ in range(repeat)),
-                     key=lambda r: r["wall_s"])
-        vector = min((run_grid_trial(zones, vector=True)
-                      for _ in range(repeat)),
-                     key=lambda r: r["wall_s"])
-        if scalar["discrete_hash"] != vector["discrete_hash"]:
-            raise RuntimeError(
-                f"grid-{zones}: vector path diverged from scalar "
-                f"(discrete hashes differ) — the SoA core must be "
-                f"bit-exact")
-        nocache = None
-        if zones <= NOCACHE_MAX_ZONES:
-            nocache = min((run_grid_trial(zones, vector=True, cache=False)
-                           for _ in range(repeat)),
-                          key=lambda r: r["wall_s"])
-            if nocache["discrete_hash"] != vector["discrete_hash"]:
-                raise RuntimeError(
-                    f"grid-{zones}: disabling the spectral cache "
-                    f"changed the discrete hash — the cache must be "
-                    f"observationally invisible")
-        row = {
-            "zones": zones,
-            "events": int(scalar["events"]),
-            "solver": vector["solver"],
-            "scalar": {k: scalar[k] for k in
-                       ("wall_s", "events_per_s", "zone_events_per_s")},
-            "vector": {k: vector[k] for k in
-                       ("wall_s", "events_per_s", "zone_events_per_s")},
-            "vector_speedup": scalar["wall_s"] / vector["wall_s"],
-            "hashes_equal": True,
-            "discrete_hash": scalar["discrete_hash"],
-            "spectral_cache": vector["spectral_cache"],
-        }
-        if nocache is not None:
-            row["nocache"] = {
-                "wall_s": nocache["wall_s"],
-                "cache_speedup": nocache["wall_s"] / vector["wall_s"],
-                "hashes_equal": True,
-            }
-        rows = section["rows"]
-        assert isinstance(rows, list)
-        rows.append(row)
-        cache_note = (f" | nocache {nocache['wall_s']:.2f}s "
-                      f"({row['nocache']['cache_speedup']:.2f}x cache win)"
-                      if nocache is not None else "")
-        print(f"  grid-{zones} [{row['solver']}]: "
-              f"scalar {scalar['wall_s']:.2f}s "
-              f"({scalar['zone_events_per_s']:,.0f} zone-ev/s) | "
-              f"vector {vector['wall_s']:.2f}s "
-              f"({row['vector_speedup']:.2f}x){cache_note}",
-              flush=True)
-    return section
-
-
 def _flatten(prefix: str, value: object, out: Dict[str, object]) -> None:
     if isinstance(value, dict):
         for key, sub in value.items():
@@ -345,49 +215,63 @@ def _flatten(prefix: str, value: object, out: Dict[str, object]) -> None:
 
 
 def compare_to_baseline(name: str, result: Dict[str, object],
-                        baseline: Dict[str, object]) -> List[str]:
-    """Human-readable comparison lines, one per shared metric.
+                        baseline: Dict[str, object]
+                        ) -> Tuple[List[str], bool]:
+    """Human-readable comparison lines, one per shared metric, and
+    whether every metric held.
 
     The baseline declares its tolerance policy: metrics listed under
     ``exact_metrics`` must match bit for bit, everything else numeric is
-    checked against ``relative_tolerance``.
+    checked against ``relative_tolerance``.  A trial the baseline does
+    not record is reported, not failed.
     """
     lines: List[str] = []
     trial_base = baseline.get("trials", {}).get(name)
     if trial_base is None:
-        return [f"{name}: no baseline recorded"]
+        return [f"{name}: no baseline recorded"], True
     exact = set(baseline.get("exact_metrics", []))
     rel_tol = float(baseline.get("relative_tolerance", 1e-9))
     flat_now: Dict[str, object] = {}
     flat_base: Dict[str, object] = {}
     _flatten("", result, flat_now)
     _flatten("", trial_base, flat_base)
-    wall_base = flat_base.get("wall_s")
+    held = True
     for key, base_val in sorted(flat_base.items()):
         now_val = flat_now.get(key)
-        if now_val is None:
-            continue
-        if key in ("wall_s", "events_per_s", "sim_s_per_wall_s"):
+        if now_val is None or key in TIMING_KEYS:
             continue  # timing handled below
         leaf = key.rsplit("/", 1)[-1]
         if leaf in exact or key in exact:
-            status = ("EXACT" if now_val == base_val
+            matched = now_val == base_val
+            status = ("EXACT" if matched
                       else f"MISMATCH base={base_val} now={now_val}")
             lines.append(f"  {name}/{key}: {status}")
         elif isinstance(base_val, (int, float)):
             ref = max(abs(float(base_val)), 1e-12)
             drift = abs(float(now_val) - float(base_val)) / ref
-            verdict = "ok" if drift <= rel_tol else f"EXCEEDS {rel_tol:g}"
+            matched = drift <= rel_tol
+            verdict = "ok" if matched else f"EXCEEDS {rel_tol:g}"
             lines.append(f"  {name}/{key}: drift {drift:.3e} ({verdict})")
+        else:
+            continue
+        held = held and matched
+    wall_base = flat_base.get("wall_s")
     if isinstance(wall_base, (int, float)) and result.get("wall_s"):
         speedup = float(wall_base) / float(result["wall_s"])
         lines.insert(0, (f"  {name}/wall_s: baseline {wall_base:.2f}s "
                          f"now {result['wall_s']:.2f}s "
                          f"speedup {speedup:.2f}x"))
-    return lines
+    return lines, held
 
 
-def measure_obs_overhead(name: str, macro: bool,
+# Per-round identity flags of a lockstep measurement: the instrumented
+# run must not move the blind run's discrete log, physics state or
+# event count.
+IDENTITY_KEYS = ("hashes_equal", "state_digest_equal",
+                 "events_dispatched_equal")
+
+
+def measure_obs_overhead(name: str,
                          trace: bool = False,
                          trace_sample: Optional[int] = None
                          ) -> Dict[str, object]:
@@ -421,14 +305,11 @@ def measure_obs_overhead(name: str, macro: bool,
     from repro.obs import create_observability
     from repro.obs.collect import obs_payload
 
-    if trace:
-        base_obs = create_observability(profile=True)
-        blind, sim_s = _BUILDERS[name](macro, obs=base_obs)
-    else:
-        blind, sim_s = _BUILDERS[name](macro)
+    base_obs = create_observability(profile=True) if trace else None
+    blind, sim_s = _build_trial(name, obs=base_obs)
     obs = create_observability(profile=True, trace=trace,
                                trace_sample=trace_sample)
-    instrumented, _ = _BUILDERS[name](macro, obs=obs)
+    instrumented, _ = _build_trial(name, obs=obs)
     blind.start()
     instrumented.start()
     perf = time.perf_counter
@@ -476,157 +357,121 @@ def measure_obs_overhead(name: str, macro: bool,
         "chunk_ratios": chunk_ratios,
         "hashes_equal": (discrete_log_hash(blind)
                          == discrete_log_hash(instrumented)),
+        "state_digest_equal": (state_digest(blind)
+                               == state_digest(instrumented)),
         "events_dispatched_equal": (blind.sim.events_dispatched
                                     == instrumented.sim.events_dispatched),
         "obs_payload": obs_payload(instrumented, obs),
     }
 
 
+def measure_overhead_block(name: str, rounds: int, trace: bool = False,
+                           trace_sample: Optional[int] = None,
+                           gated: bool = True
+                           ) -> Tuple[Dict[str, object],
+                                      Dict[str, object], bool]:
+    """Measure ``rounds`` lockstep rounds of trial ``name`` and score
+    them as one report block.
+
+    The overhead is the median over *all* chunk ratios pooled across
+    rounds: per-round medians share whatever throttle regime their
+    round ran under, so the median-of-medians of a few rounds inherits
+    that correlated bias, while the pooled median sees every chunk pair
+    individually (a few hundred samples) and is an order of magnitude
+    steadier on a shared box.  The wall clocks and telemetry payload
+    come from the median round.  Returns ``(block, payload, ok)``:
+    ``ok`` is False if any round's instrumented run diverged from its
+    baseline run (telemetry perturbed the simulation) or, when
+    ``gated``, the overhead exceeds :data:`OBS_OVERHEAD_BUDGET_PCT`.
+    An ungated block is marked informational.
+    """
+    what = "tracing" if trace else "observability"
+    stride = "" if trace_sample is None else f", stride {trace_sample}"
+    print(f"measuring {name} {what} overhead "
+          f"(lockstep, {rounds} interleaved rounds{stride})...", flush=True)
+    measured = sorted((measure_obs_overhead(name, trace=trace,
+                                            trace_sample=trace_sample)
+                       for _ in range(rounds)),
+                      key=lambda r: r["overhead_pct"])
+    picked = measured[len(measured) // 2]
+    pooled = sorted(r for rnd in measured for r in rnd["chunk_ratios"])
+    pct = (pooled[len(pooled) // 2] - 1.0) * 100.0 if pooled else 0.0
+    within_budget = pct <= OBS_OVERHEAD_BUDGET_PCT
+    block: Dict[str, object] = {
+        "wall_s_off": picked["wall_s_off"],
+        "wall_s_on": picked["wall_s_on"],
+        "overhead_pct": pct,
+    }
+    if trace:
+        block["overhead_baseline"] = "obs"
+    if gated:
+        block.update(
+            overhead_pct_rounds=[r["overhead_pct"] for r in measured],
+            overhead_estimator="pooled_median_chunk_ratio",
+            chunks_pooled=len(pooled),
+            overhead_budget_pct=OBS_OVERHEAD_BUDGET_PCT,
+            within_budget=within_budget)
+    else:
+        block["informational"] = True
+    identical = {key: all(r[key] for r in measured) for key in IDENTITY_KEYS}
+    held = all(identical.values())
+    block.update(identical)
+    payload = picked["obs_payload"]
+    if trace:
+        spans = payload.get("trace") or {}
+        summary = spans.get("summary") or {}
+        block.update(sample_every=summary.get("sample_every", 0),
+                     spans_emitted=len(spans.get("spans", ())),
+                     traces=summary.get("traces", 0))
+        if gated:  # the ungated stride-1 round samples nothing out
+            block["sampled_out"] = summary.get("sampled_out", 0)
+    else:
+        block.update(events_emitted=len(payload["events"]),
+                     profile=payload["profile"])
+    budget = (f"budget {OBS_OVERHEAD_BUDGET_PCT:.1f}%" if gated
+              else "not budget-gated")
+    print(f"  {what} wall {picked['wall_s_on']:.2f}s vs "
+          f"{'obs' if trace else 'blind'} {picked['wall_s_off']:.2f}s | "
+          f"overhead {pct:+.2f}% ({budget}) | identity "
+          f"{'held' if held else 'DIVERGED'}")
+    return block, payload, held and (within_budget or not gated)
+
+
 def run_obs_section(report: Dict[str, object],
                     names: List[str],
-                    macro: bool,
                     repeat: int,
                     telemetry_dir: Optional[str] = None) -> bool:
     """Measure observability overhead in lockstep and score it.
 
-    Each trial is measured by :func:`measure_obs_overhead` —
-    chunk-interleaved so shared-machine noise cancels — ``repeat``
-    times.  The gated overhead is the median over *all* chunk ratios
-    pooled across rounds: per-round medians share whatever throttle
-    regime their round ran under, so the median-of-medians of a few
-    rounds inherits that correlated bias, while the pooled median sees
-    every chunk pair individually (a few hundred samples) and is an
-    order of magnitude steadier on a shared box.  Each trial is then
-    measured again with causal tracing enabled at its shipped
-    head-sampling stride — against the standard obs context this
-    time, isolating tracing's marginal cost — scored against the same
-    budget and recorded under the trial's ``trace`` key; one extra
-    informational round prices full-fidelity tracing (stride 1)
-    without gating the budget.
+    Per trial, three blocks from :func:`measure_overhead_block`: the
+    standard observability context against a blind run (``repeat``
+    rounds, budget-gated); causal tracing at its shipped head-sampling
+    stride against the obs context, isolating tracing's marginal cost
+    (``repeat`` rounds, same budget), recorded under the trial's
+    ``trace`` key; and one informational round of full-fidelity
+    tracing (stride 1) under ``trace/full_fidelity`` — per-frame span
+    hooks in pure Python cannot meet 3% at stride 1 on a
+    macro-accelerated trial, which is exactly why sampling is the
+    shipped default.
     Returns False (and still records the section) if any trial blew
-    the wall-clock budget or — far worse — diverged from the blind
-    run's discrete hash, which would mean telemetry perturbs the
-    simulation.
+    the wall-clock budget or — far worse — diverged from the baseline
+    run's discrete log, physics state or event count, which would mean
+    telemetry perturbs the simulation.
     """
     obs_report: Dict[str, object] = {}
     report["obs"] = obs_report
     payloads: Dict[str, Dict[str, object]] = {}
     ok = True
-
-    def pooled_pct(rounds: List[Dict[str, object]]) -> float:
-        pooled = sorted(r for rnd in rounds
-                        for r in rnd["chunk_ratios"])
-        if not pooled:
-            return 0.0
-        return (pooled[len(pooled) // 2] - 1.0) * 100.0
-
     for name in names:
-        print(f"measuring {name} observability overhead "
-              f"(lockstep, {repeat} interleaved rounds)...", flush=True)
-        rounds = [measure_obs_overhead(name, macro)
-                  for _ in range(repeat)]
-        rounds.sort(key=lambda r: r["overhead_pct"])
-        picked = rounds[len(rounds) // 2]
-        overhead_pct = pooled_pct(rounds)
-        hashes_equal = all(r["hashes_equal"] for r in rounds)
-        events_equal = all(r["events_dispatched_equal"] for r in rounds)
-        payload = picked.pop("obs_payload")
-        payloads[name] = payload
-        obs_report[name] = {
-            "wall_s_off": picked["wall_s_off"],
-            "wall_s_on": picked["wall_s_on"],
-            "overhead_pct": overhead_pct,
-            "overhead_pct_rounds": [r["overhead_pct"] for r in rounds],
-            "overhead_estimator": "pooled_median_chunk_ratio",
-            "chunks_pooled": sum(len(r["chunk_ratios"]) for r in rounds),
-            "overhead_budget_pct": OBS_OVERHEAD_BUDGET_PCT,
-            "within_budget": overhead_pct <= OBS_OVERHEAD_BUDGET_PCT,
-            "hashes_equal": hashes_equal,
-            "events_dispatched_equal": events_equal,
-            "events_emitted": len(payload["events"]),
-            "profile": payload["profile"],
-        }
-        print(f"  obs wall {picked['wall_s_on']:.2f}s vs blind "
-              f"{picked['wall_s_off']:.2f}s | "
-              f"overhead {overhead_pct:+.2f}% "
-              f"(budget {OBS_OVERHEAD_BUDGET_PCT:.1f}%) | "
-              f"hashes {'equal' if hashes_equal else 'DIVERGED'}")
-        if (overhead_pct > OBS_OVERHEAD_BUDGET_PCT or not hashes_equal
-                or not events_equal):
-            ok = False
-
-        print(f"measuring {name} tracing overhead "
-              f"(lockstep, {repeat} interleaved rounds)...", flush=True)
-        trace_rounds = [measure_obs_overhead(name, macro, trace=True)
-                        for _ in range(repeat)]
-        trace_rounds.sort(key=lambda r: r["overhead_pct"])
-        trace_picked = trace_rounds[len(trace_rounds) // 2]
-        trace_pct = pooled_pct(trace_rounds)
-        trace_hashes = all(r["hashes_equal"] for r in trace_rounds)
-        trace_events = all(r["events_dispatched_equal"]
-                           for r in trace_rounds)
-        trace_payload = trace_picked.pop("obs_payload")
-        trace_block = trace_payload.get("trace") or {}
-        trace_summary = trace_block.get("summary") or {}
-        obs_report[name]["trace"] = {
-            "wall_s_off": trace_picked["wall_s_off"],
-            "wall_s_on": trace_picked["wall_s_on"],
-            "overhead_pct": trace_pct,
-            "overhead_pct_rounds": [r["overhead_pct"]
-                                    for r in trace_rounds],
-            "overhead_estimator": "pooled_median_chunk_ratio",
-            "chunks_pooled": sum(len(r["chunk_ratios"])
-                                 for r in trace_rounds),
-            "overhead_baseline": "obs",
-            "overhead_budget_pct": OBS_OVERHEAD_BUDGET_PCT,
-            "within_budget": trace_pct <= OBS_OVERHEAD_BUDGET_PCT,
-            "sample_every": trace_summary.get("sample_every", 0),
-            "hashes_equal": trace_hashes,
-            "events_dispatched_equal": trace_events,
-            "spans_emitted": len(trace_block.get("spans", ())),
-            "traces": trace_summary.get("traces", 0),
-            "sampled_out": trace_summary.get("sampled_out", 0),
-        }
-        print(f"  trace wall {trace_picked['wall_s_on']:.2f}s vs obs "
-              f"{trace_picked['wall_s_off']:.2f}s | "
-              f"marginal overhead {trace_pct:+.2f}% "
-              f"(budget {OBS_OVERHEAD_BUDGET_PCT:.1f}%, sampling 1/"
-              f"{trace_summary.get('sample_every', '?')}) | "
-              f"hashes {'equal' if trace_hashes else 'DIVERGED'}")
-        if (trace_pct > OBS_OVERHEAD_BUDGET_PCT or not trace_hashes
-                or not trace_events):
-            ok = False
-
-        # Full-fidelity tracing (every sensing epoch) is priced too,
-        # one round, informational only: it documents what the default
-        # head sampling buys rather than gating the budget — per-frame
-        # span hooks in pure Python cannot meet 3% at stride 1 on a
-        # macro-accelerated trial, which is exactly why sampling is
-        # the shipped default.
-        print(f"pricing {name} full-fidelity tracing "
-              "(stride 1, informational)...", flush=True)
-        full = measure_obs_overhead(name, macro, trace=True,
-                                    trace_sample=1)
-        full_payload = full.pop("obs_payload")
-        full_block = full_payload.get("trace") or {}
-        full_summary = full_block.get("summary") or {}
-        obs_report[name]["trace"]["full_fidelity"] = {
-            "wall_s_off": full["wall_s_off"],
-            "wall_s_on": full["wall_s_on"],
-            "overhead_pct": float(full["overhead_pct"]),
-            "overhead_baseline": "obs",
-            "sample_every": 1,
-            "informational": True,
-            "hashes_equal": full["hashes_equal"],
-            "events_dispatched_equal": full["events_dispatched_equal"],
-            "spans_emitted": len(full_block.get("spans", ())),
-            "traces": full_summary.get("traces", 0),
-        }
-        print(f"  full-fidelity overhead {full['overhead_pct']:+.2f}% "
-              f"({full_summary.get('traces', 0)} traces, "
-              "not budget-gated)")
-        if not full["hashes_equal"] or not full["events_dispatched_equal"]:
-            ok = False
+        block, payloads[name], obs_ok = measure_overhead_block(name, repeat)
+        trace, _, trace_ok = measure_overhead_block(name, repeat,
+                                                    trace=True)
+        full, _, full_ok = measure_overhead_block(
+            name, 1, trace=True, trace_sample=1, gated=False)
+        trace["full_fidelity"] = full
+        block["trace"] = trace
+        obs_report[name] = block
+        ok = ok and obs_ok and trace_ok and full_ok
     if telemetry_dir is not None:
         from repro.obs.status import write_run_telemetry
 
@@ -650,23 +495,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench",
         description="Time the paper trials and write a benchmark report")
-    parser.add_argument("--trial", choices=["hvac", "network", "all"],
-                        default="all")
-    parser.add_argument("--no-macro", action="store_true",
-                        help="disable macro-stepped physics "
-                             "(reference scheduling)")
+    parser.add_argument("--trial", choices=[*TRIALS, "all"], default="all")
     parser.add_argument("--repeat", type=int, default=1,
                         help="run each trial N times, report the best "
                              "wall clock (domain metrics must match)")
-    parser.add_argument("--grid", metavar="ZONES", default=None,
-                        help="also run the vector-core scaling section "
-                             "over these comma-separated grid sizes "
-                             "(e.g. 4,32,128)")
     parser.add_argument("--obs", action="store_true",
                         help="rerun the trials with observability on; "
                              "record the wall-clock overhead and assert "
                              f"it stays under {OBS_OVERHEAD_BUDGET_PCT}%% "
-                             "with bit-identical discrete hashes")
+                             "with bit-identical discrete hashes and "
+                             "state digests")
     parser.add_argument("--telemetry", metavar="DIR", default=None,
                         help="write the instrumented trials' telemetry "
                              "artifacts into this directory "
@@ -674,11 +512,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("-o", "--output", default="BENCH_2.json",
                         help="report path (default: BENCH_2.json)")
     parser.add_argument("--baseline", default=str(DEFAULT_BASELINE),
-                        help="seed baseline to compare against")
+                        help="seed baseline to compare against; any "
+                             "mismatch makes the command exit 1")
     args = parser.parse_args(argv)
 
-    names = ["hvac", "network"] if args.trial == "all" else [args.trial]
-    macro = not args.no_macro
+    names = list(TRIALS) if args.trial == "all" else [args.trial]
+    macro = all(get_scenario(TRIALS[name].scenario).config
+                .physics_macro_step for name in names)
     measure_obs = args.obs or args.telemetry is not None
     from repro.obs.manifest import build_manifest
 
@@ -693,12 +533,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trials": {},
     }
     baseline = load_baseline(Path(args.baseline))
+    baseline_held = True
     for name in names:
-        print(f"running {name} trial "
-              f"({'macro' if macro else 'reference'} physics, "
-              f"best of {args.repeat})...",
+        print(f"running {name} trial (best of {args.repeat})...",
               flush=True)
-        result = run_best_of(name, macro=macro, repeat=args.repeat)
+        result = run_best_of(name, repeat=args.repeat)
         report["trials"][name] = result
         print(f"  wall {result['wall_s']:.2f}s | "
               f"{result['events']} events | "
@@ -711,29 +550,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             if isinstance(wall_base, (int, float)):
                 assert isinstance(speedups, dict)
                 speedups[name] = wall_base / result["wall_s"]
-            for line in compare_to_baseline(name, result, baseline):
+            lines, held = compare_to_baseline(name, result, baseline)
+            for line in lines:
                 print(line)
-    if measure_obs:
-        budget_ok = run_obs_section(report, names, macro=macro,
-                                    repeat=args.repeat,
-                                    telemetry_dir=args.telemetry)
-        if not budget_ok:
-            with open(args.output, "w") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
-            print(f"wrote {args.output}")
-            print("observability overhead budget FAILED", file=sys.stderr)
-            return 1
-    if args.grid:
-        zone_counts = [int(z) for z in args.grid.split(",") if z]
-        print(f"running grid scaling section (zones: "
-              f"{', '.join(map(str, zone_counts))})...", flush=True)
-        report["grid"] = run_grid_section(zone_counts, repeat=args.repeat)
+            baseline_held = baseline_held and held
+    budget_ok = (run_obs_section(report, names, repeat=args.repeat,
+                                 telemetry_dir=args.telemetry)
+                 if measure_obs else True)
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     print(f"wrote {args.output}")
-    return 0
+    if not baseline_held:
+        print(f"baseline check FAILED against {args.baseline}",
+              file=sys.stderr)
+    if not budget_ok:
+        print("observability overhead budget FAILED", file=sys.stderr)
+    return 0 if baseline_held and budget_ok else 1
 
 
 if __name__ == "__main__":

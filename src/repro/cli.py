@@ -197,8 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multiply every hazard rate (and accelerate "
                             "battery wear-out) by this factor")
     chaos.add_argument("--jsonl", metavar="PATH",
-                       help="stream incremental SLO report rows here "
-                            "(one JSON object per line)")
+                       help="write the SLO report rows here (one JSON "
+                            "object per line), after every run has "
+                            "finished, in spec order: byte-identical for "
+                            "any --workers")
     chaos.add_argument("--strict", action="store_true",
                        help="exit 1 when any run misses its SLO "
                             "budgets (execution failures always exit 1)")
@@ -672,7 +674,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                        timeout_s=args.timeout_s, jsonl_path=args.jsonl,
                        telemetry_dir=args.telemetry)
     if args.jsonl:
-        print(f"streamed SLO rows to {args.jsonl}")
+        print(f"wrote SLO rows to {args.jsonl}")
     status = _finish_matrix(args, result, render_chaos_report(result))
     if status:
         return status

@@ -40,7 +40,7 @@ from repro.workloads.faults import (
 )
 
 _FAULT_SCRIPTS: Dict[str, FaultScript] = {}
-_SCENARIOS: Dict[str, ScenarioSpec] = {}
+_REGISTERED: Dict[str, ScenarioSpec] = {}
 
 
 # ----------------------------------------------------------------------
@@ -77,17 +77,17 @@ def fault_script_names() -> List[str]:
 def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
     """Register a spec under its own name; the name must be fresh and
     any referenced fault script must already be registered."""
-    if spec.name in _SCENARIOS:
+    if spec.name in _REGISTERED:
         raise ValueError(f"scenario {spec.name!r} already registered")
     if spec.fault_script != "none":
         get_fault_script(spec.fault_script)
-    _SCENARIOS[spec.name] = spec
+    _REGISTERED[spec.name] = spec
     return spec
 
 
 def get_scenario(name: str) -> ScenarioSpec:
     try:
-        return _SCENARIOS[name]
+        return _REGISTERED[name]
     except KeyError:
         raise KeyError(
             f"unknown scenario {name!r}; known: "
@@ -95,7 +95,7 @@ def get_scenario(name: str) -> ScenarioSpec:
 
 
 def scenario_names() -> List[str]:
-    return sorted(_SCENARIOS)
+    return sorted(_REGISTERED)
 
 
 def describe_scenario(name: str) -> str:
@@ -290,10 +290,11 @@ def _register_all() -> None:
         topology=grid_topology(8, cols=4),
         run_minutes=30.0))
 
-    # Direct-mode grid trials behind the vectorized-core scaling bench
-    # (`repro bench --grid`).  Tropical weather makes the seed reach
-    # the physics, so replicated seeds produce distinct trajectories
-    # even without the network stack's sensor-noise RNG.
+    # Direct-mode grid trials: perfbench's grid-direct workload runs
+    # grid-128, and tests/test_vector_equivalence.py pins grid-4 and
+    # grid-32 scalar ≡ vector ≡ cache-off.  Tropical weather makes the
+    # seed reach the physics, so replicated seeds produce distinct
+    # trajectories even without the network stack's sensor-noise RNG.
     # The 512/1024-zone entries opt into the structured eigh solver
     # (config.physics_solver): dense inv/eig/inv on a (3, n, n) system
     # at those sizes dominates the run, while the symmetrised solver

@@ -37,8 +37,8 @@ the scored comparison between controllers is apples to apples.
 Like campaign/sweep, the runner is split into pure halves around
 :mod:`repro.runtime`: :func:`chaos_specs` produces picklable specs and
 :func:`merge_chaos` folds in-spec-order payloads into scored
-:class:`SloReport` rows, so the streamed JSONL report is byte-identical
-for any worker count.
+:class:`SloReport` rows, so the JSONL report is byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -425,7 +425,7 @@ class ChaosResult:
         return rows
 
     def jsonl_rows(self):
-        """Every streamed report row, in spec order: one meta row, then
+        """Every JSONL report row, in spec order: one meta row, then
         per run every window row followed by its summary row."""
         config = self.config
         yield {"kind": "chaos.meta", "scenario": config.scenario,
@@ -585,11 +585,13 @@ def run_chaos(config: ChaosConfig,
               telemetry_dir: Optional[str] = None) -> ChaosResult:
     """Run the endurance campaign and score every run.
 
-    ``jsonl_path`` streams the report rows incrementally (line-buffered,
-    spec order, one JSON object per line — see
-    :func:`repro.analysis.slo.validate_report_rows`); workers only ship
-    back compact event/outcome payloads, never traces, so a 32-zone
-    multi-seed sweep holds no whole-run state in the parent.
+    ``jsonl_path`` receives the report rows (one JSON object per line —
+    see :func:`repro.analysis.slo.validate_report_rows`), written once
+    after every run has finished and been merged, in spec order, so the
+    file is byte-identical for any ``workers``; a campaign that is
+    killed part-way leaves no rows.  Workers only ship back compact
+    event/outcome payloads, never traces, so a 32-zone multi-seed sweep
+    holds no whole-run state in the parent.
     ``telemetry_dir`` additionally writes the standard artifact
     directory of :mod:`repro.obs.status`.
     """

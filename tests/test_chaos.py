@@ -1,9 +1,9 @@
-"""Chaos endurance campaign: specs, merging, streaming, CLI.
+"""Chaos endurance campaign: specs, merging, JSONL report, CLI.
 
 The statistical behaviour of the hazard process lives in
 tests/test_properties_chaos.py; these tests cover the deterministic
 plumbing — spec construction, per-seed schedule sharing, pooled vs
-serial byte identity of the streamed JSONL report, failure folding and
+serial byte identity of the JSONL report, failure folding and
 the CLI surface — plus the passive comfort/dew breach probes the SLO
 scorer consumes.
 """
@@ -126,7 +126,7 @@ def test_merge_folds_failures_into_rows():
     assert [f.label for f in result.failures] == ["fixed/seed-1"]
     report = result.report_dict()
     assert report["failures"][0]["kind"] == "crash"
-    # The streamed rows still validate with a failed run missing.
+    # The JSONL rows still validate with a failed run missing.
     from repro.analysis.slo import validate_report_rows
     assert validate_report_rows(list(result.jsonl_rows())) == []
 

@@ -212,8 +212,9 @@ class TestBenchCommand:
             return 5
 
         monkeypatch.setattr(repro.bench, "main", fake_main)
-        argv = ["--trial", "hvac", "--grid", "4,32", "--repeat", "2",
-                "--baseline", "none.json", "-o", "out.json"]
+        argv = ["--trial", "hvac", "--repeat", "2", "--obs",
+                "--telemetry", "tel", "--baseline", "none.json",
+                "-o", "out.json"]
         assert main(["bench", *argv]) == 5
         assert seen == [argv]
 

@@ -114,6 +114,48 @@ class TestGridEquivalence:
         _assert_identical(*runs)
 
 
+class TestRegistryGridIdentity:
+    """The registered ``grid-4`` and ``grid-32`` trials (tropical
+    weather, unlike the grids above) give the same physics on the
+    scalar and the vector path, and with the spectral cache on or off.
+
+    Identity is asserted on ``state_digest``: a direct grid's discrete
+    log is its fixed control cadence, so ``discrete_log_hash`` is the
+    same for both grid sizes and would miss any physics divergence.
+    """
+
+    @staticmethod
+    def _run(name, vector, cached):
+        from repro.physics import spectral
+        from repro.scenarios.registry import get_scenario
+        from repro.scenarios.spec import run_scenario
+
+        spec = get_scenario(name)
+        spec = dataclasses.replace(spec, config=dataclasses.replace(
+            spec.config, physics_vector=vector))
+        spectral.cache_clear()
+        prev = spectral.configure(enabled=cached)
+        try:
+            system = run_scenario(spec)
+        finally:
+            spectral.configure(**prev)
+        return discrete_log_hash(system), state_digest(system)
+
+    def test_scalar_vector_and_cache_agree(self):
+        identity = {}
+        for name in ("grid-4", "grid-32"):
+            runs = {path: self._run(name, vector, cached)
+                    for path, vector, cached in (
+                        ("scalar", False, True), ("vector", True, True),
+                        ("vector-nocache", True, False))}
+            assert runs["scalar"] == runs["vector"], name
+            assert runs["vector-nocache"] == runs["vector"], name
+            identity[name] = runs["vector"]
+        (hash_4, digest_4), (hash_32, digest_32) = identity.values()
+        assert digest_4 != digest_32
+        assert hash_4 == hash_32
+
+
 class TestObservedEquivalence:
     """Telemetry must neither perturb a path nor split the two paths."""
 
