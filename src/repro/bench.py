@@ -222,8 +222,9 @@ def compare_to_baseline(name: str, result: Dict[str, object],
 
     The baseline declares its tolerance policy: metrics listed under
     ``exact_metrics`` must match bit for bit, everything else numeric is
-    checked against ``relative_tolerance``.  A trial the baseline does
-    not record is reported, not failed.
+    checked against ``relative_tolerance``.  A recorded metric absent
+    from ``result`` is reported ``MISSING`` and fails the check.  A
+    trial the baseline does not record is reported, not failed.
     """
     lines: List[str] = []
     trial_base = baseline.get("trials", {}).get(name)
@@ -237,9 +238,14 @@ def compare_to_baseline(name: str, result: Dict[str, object],
     _flatten("", trial_base, flat_base)
     held = True
     for key, base_val in sorted(flat_base.items()):
-        now_val = flat_now.get(key)
-        if now_val is None or key in TIMING_KEYS:
+        if key in TIMING_KEYS:
             continue  # timing handled below
+        now_val = flat_now.get(key)
+        if now_val is None:
+            # A metric the trial stopped reporting cannot have held.
+            lines.append(f"  {name}/{key}: MISSING base={base_val}")
+            held = False
+            continue
         leaf = key.rsplit("/", 1)[-1]
         if leaf in exact or key in exact:
             matched = now_val == base_val

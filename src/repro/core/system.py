@@ -45,6 +45,7 @@ from repro.devices.sensors import SensorModel
 from repro.net.adaptive import AdaptivePolicy
 from repro.net.medium import BroadcastMedium, Sniffer
 from repro.net.packet import DataType
+from repro.physics.psychrometrics import dew_point_from_humidity_ratio
 from repro.physics.weather import ConstantWeather, WeatherModel
 from repro.sim.engine import (
     Event,
@@ -231,38 +232,49 @@ class BubbleZero:
 
     def _direct_step(self, now: float) -> None:
         plant = self.plant
-        room = plant.room
-        room_temp = room.mean_temp_c()
+        # Each zone's state is read, and its dew point computed, once per
+        # step; the radiant and the ventilation laws share the lists.
+        zone_states = [s.state for s in plant.room.subspaces]
+        temps = [state.temp_c for state in zone_states]
+        co2s = [state.co2_ppm for state in zone_states]
+        dews = [dew_point_from_humidity_ratio(state.humidity_ratio)
+                for state in zone_states]
+        room_temp = sum(temps) / len(temps)  # Room.mean_temp_c()
         supply = plant.supply_temp_c()
+        panel_zones = self.topology.panel_zones
         if self.policy.exchanges_state:
             # Wired consensus exchange: the previous step's agent states
             # circulate in-process (the direct stack has no channel, so
             # the exchange is lossless but still one period delayed).
-            states = {i: law.shared_state()
-                      for i, law in enumerate(self._vent_direct)
-                      if law.shared_state() is not None}
+            states = {}
+            for i, law in enumerate(self._vent_direct):
+                shared = law.shared_state()
+                if shared is not None:
+                    states[i] = shared
             for law in self._vent_direct:
                 law.set_neighbor_states(
                     {j: states[j] for j in law.neighbors if j in states})
             for p, law in enumerate(self._radiant_direct):
-                served = self.topology.panel_zones[p]
                 law.set_zone_estimates(
-                    {z: states[z] for z in served if z in states})
+                    {z: states[z] for z in panel_zones[p] if z in states})
         for p, controller in enumerate(self._radiant_direct):
-            served = self.topology.panel_zones[p]
-            ceiling_dew = max(room.state_of(s).dew_point_c for s in served)
-            command = controller.step(RadiantInputs(
-                room_temp, ceiling_dew, supply, plant.panel_return_temp_c(p)),
-                CONTROL_PERIOD_S)
             loop = plant.panel_loops[p]
+            ceiling_dew = max(dews[s] for s in panel_zones[p])
+            command = controller.step(RadiantInputs(
+                room_temp, ceiling_dew, supply, loop.return_temp_c),
+                CONTROL_PERIOD_S)
             loop.supply_pump.set_voltage(command.supply_voltage)
             loop.recycle_pump.set_voltage(command.recycle_voltage)
         for i, controller in enumerate(self._vent_direct):
-            state = room.state_of(i)
-            command = controller.step(VentilationInputs(
-                state.temp_c, state.dew_point_c, state.co2_ppm, supply,
-                plant.airbox_outlet_dew_c(i)), CONTROL_PERIOD_S)
             unit = plant.vent_units[i]
+            output = unit.last_output
+            # Plant.airbox_outlet_dew_c: with the fans stopped, the
+            # outlet sensor reads room air.
+            outlet_dew = (dews[i] if output is None or output.flow_m3s == 0
+                          else output.supply_dew_point_c)
+            command = controller.step(VentilationInputs(
+                temps[i], dews[i], co2s[i], supply, outlet_dew),
+                CONTROL_PERIOD_S)
             unit.airbox.set_coil_pump_voltage(command.coil_pump_voltage)
             unit.airbox.set_fan_flow_demand(command.fan_flow_demand_m3s)
             unit.flap.command(command.flap_open)

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.airside.airbox import AirboxOutput
 from repro.hydronics.panel import PanelResult
-from repro.hydronics.water import WATER_CP, mass_flow
+from repro.hydronics.water import WATER_CP, WATER_DENSITY, mass_flow
 from repro.physics.psychrometrics import (
     dew_point_from_humidity_ratio,
     humidity_ratio_from_dew_point,
@@ -649,20 +649,28 @@ class VectorPlantKernel:
                     o_dew = in_dew_gap
                     heat_w = 0.0
                 else:
-                    wf = min(eff, u_maxwf[i])
-                    o_dew = max(in_dew_gap - u_drop[i] * wf,
-                                waterT + u_appr[i])
-                    o_dew = min(o_dew, in_dew_gap)
+                    # Two-operand min/max written as comparisons that
+                    # return the operand the builtin would, ties
+                    # included: min(a, b) is ``b if b < a else a``,
+                    # max(a, b) is ``b if b > a else a``.
+                    maxwf = u_maxwf[i]
+                    appr = u_appr[i]
+                    wf = maxwf if maxwf < eff else eff
+                    o_dew = in_dew_gap - u_drop[i] * wf
+                    dew_floor = waterT + appr
+                    o_dew = dew_floor if dew_floor > o_dew else o_dew
+                    o_dew = in_dew_gap if in_dew_gap < o_dew else o_dew
                     o_w = humidity_ratio_from_dew_point(o_dew)
-                    o_w = min(o_w, out_w)
-                    wetness = wf / u_maxwf[i]
-                    apparatus = waterT + u_appr[i] * (1.0 - wetness)
+                    o_w = out_w if out_w < o_w else o_w
+                    wetness = wf / maxwf
+                    apparatus = waterT + appr * (1.0 - wetness)
                     contact = u_bf1[i] * wetness
                     o_temp = out_t - contact * (out_t - apparatus)
-                    o_temp = max(o_temp, o_dew)
-                    heat_w = max(0.0, u_mass_air[i]
-                                 * (h_in_gap - moist_air_enthalpy(o_temp,
-                                                                  o_w)))
+                    o_temp = o_dew if o_dew > o_temp else o_temp
+                    heat_w = u_mass_air[i] * (h_in_gap
+                                              - moist_air_enthalpy(o_temp,
+                                                                   o_w))
+                    heat_w = heat_w if heat_w > 0.0 else 0.0
                 sup_t = o_temp + u_reheat_k[i] if u_reheat[i] else o_temp
                 u_heat_e[i] += heat_w * dt
                 u_fan_e[i] += u_fan_pd[i]
@@ -670,18 +678,24 @@ class VectorPlantKernel:
 
                 pos = u_flap_pos[i]
                 tgt = u_flap_tgt[i]
-                moving = abs(tgt - pos) > 1e-9
-                if pos < tgt:
-                    pos = min(tgt, pos + u_flap_rate[i])
-                elif pos > tgt:
-                    pos = max(tgt, pos - u_flap_rate[i])
-                if moving:
-                    u_flap_e[i] += u_flap_pd[i]
-                u_flap_pos[i] = pos
+                if pos != tgt:
+                    moving = abs(tgt - pos) > 1e-9
+                    if pos < tgt:
+                        step = pos + u_flap_rate[i]
+                        pos = step if step < tgt else tgt
+                    elif pos > tgt:
+                        step = pos - u_flap_rate[i]
+                        pos = step if step > tgt else tgt
+                    if moving:
+                        u_flap_e[i] += u_flap_pd[i]
+                    u_flap_pos[i] = pos
 
                 e_flow = flow * (0.25 + 0.75 * pos)
                 if eff > 0 and heat_w > 0:
-                    mf = mass_flow(eff)
+                    # water.mass_flow(eff) inline: eff blends
+                    # non-negative pump flows, so its sign check
+                    # cannot fire.
+                    mf = eff * 1e-3 * WATER_DENSITY
                     m_cp = mf * WATER_CP
                     coil_return = v_st[0] + heat_w / m_cp
                     heat_j = (mf * dt) * WATER_CP * (coil_return - v_st[0])

@@ -106,9 +106,10 @@ class TestRunBestOf:
 class TestBaselineGate:
     """``main`` writes the report, then exits 1 on any baseline breach."""
 
-    def _run(self, monkeypatch, tmp_path, base_events=1000, base_cop=4.0):
+    def _run(self, monkeypatch, tmp_path, base_events=1000, base_cop=4.0,
+             domain=(("cop", 4.0),)):
         monkeypatch.setitem(bench.TRIALS, "stub", bench.Trial(
-            "paper-va", lambda: _stub_result(1.0, cop=4.0)))
+            "paper-va", lambda: _stub_result(1.0, **dict(domain))))
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({
             "exact_metrics": ["events"], "relative_tolerance": 1e-12,
@@ -139,6 +140,22 @@ class TestBaselineGate:
     def test_tolerance_breach_exits_one(self, monkeypatch, tmp_path, capsys):
         assert self._run(monkeypatch, tmp_path, base_cop=4.1) == 1
         assert "EXCEEDS" in capsys.readouterr().out
+
+    def test_missing_metric_exits_one(self, monkeypatch, tmp_path, capsys):
+        assert self._run(monkeypatch, tmp_path, domain=()) == 1
+        captured = capsys.readouterr()
+        assert "stub/cop: MISSING base=4.0" in captured.out
+        assert "baseline check FAILED" in captured.err
+
+    def test_missing_exact_metric_fails(self):
+        result = _stub_result(1.0)
+        del result["events"]
+        lines, held = bench.compare_to_baseline(
+            "stub", result, {"exact_metrics": ["events"],
+                             "trials": {"stub": {"wall_s": 2.0,
+                                                 "events": 1000}}})
+        assert not held
+        assert "  stub/events: MISSING base=1000" in lines
 
     def test_unrecorded_trial_is_not_a_failure(self):
         lines, held = bench.compare_to_baseline(
