@@ -57,11 +57,13 @@ class BubbleZeroConfig:
     # gap, so trajectories match plain 1 Hz stepping within the
     # documented tolerance; set False to force the reference behaviour.
     physics_macro_step: bool = True
-    # Advance the plant through the structure-of-arrays fused kernel
-    # (repro.physics.vector) instead of the per-object scalar loop.  The
-    # two paths are bit-identical — the vector core repeats every
-    # floating-point expression of the scalar one — so this only changes
-    # speed; set False to run the scalar reference implementation.
+    # Advance the hydronic, airside and tank components through the
+    # fused gap kernel (repro.physics.vector) instead of the per-object
+    # loop.  Both share the room's one zone-state store and Euler
+    # balance; the kernel repeats every floating-point expression of
+    # the per-object path, so this only changes speed.  False selects
+    # that path as the reference oracle of the equivalence tests (no
+    # CLI option sets it).
     physics_vector: bool = True
     # Macro-gap eigensolver: "dense" is the reference oracle (general
     # inv/eig/inv, bit-pinned by every golden); "structured" exploits

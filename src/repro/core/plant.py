@@ -35,7 +35,7 @@ from repro.hydronics.panel import PanelResult, RadiantPanel
 from repro.hydronics.pump import DCPump, PumpCurve
 from repro.hydronics.tank import ColdWaterTank
 from repro.hydronics.water import WATER_CP, mass_flow
-from repro.physics.room import Room, RoomGeometry, SubspaceInputs
+from repro.physics.room import Room, RoomGeometry, SubspaceInputs, zone_mean
 from repro.physics.weather import OutdoorState, WeatherModel
 from repro.scenarios.topology import SystemTopology, paper_topology
 
@@ -304,8 +304,7 @@ class Plant:
                 zone_temp = (state0.temp_c + state1.temp_c) / 2
             else:
                 states = tuple(self.room.state_of(s) for s in served)
-                zone_temp = (sum(state.temp_c for state in states)
-                             / len(states))
+                zone_temp = zone_mean([state.temp_c for state in states])
             mix: MixResult = loop.junction.mix(
                 self.radiant_tank.draw(), loop.return_temp_c)
             result = loop.panel.exchange(mix.flow_lps, mix.temp_c, zone_temp)

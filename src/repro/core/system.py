@@ -239,7 +239,7 @@ class BubbleZero:
         co2s = [state.co2_ppm for state in zone_states]
         dews = [dew_point_from_humidity_ratio(state.humidity_ratio)
                 for state in zone_states]
-        room_temp = sum(temps) / len(temps)  # Room.mean_temp_c()
+        room_temp = plant.room.mean_temp_c()
         supply = plant.supply_temp_c()
         panel_zones = self.topology.panel_zones
         if self.policy.exchanges_state:

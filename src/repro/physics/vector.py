@@ -9,40 +9,38 @@ evaluates on (and ``grid_topology(n)`` now declares in one line) it is
 the scaling wall.
 
 This module keeps the *numbers* of the scalar path and restructures the
-*storage and the loop*:
+*loop*:
 
-* :class:`ZoneStateArrays` holds every zone's temperature, humidity
-  ratio and CO2 concentration as ``float64[n]`` numpy arrays — one
-  structure of arrays instead of n ``SubspaceState`` boxes.
-* :func:`attach_soa` rewires a :class:`~repro.physics.room.Room` onto
-  that storage.  Device-facing reads stay scalar: each subspace becomes
-  a :class:`VectorSubspace` whose ``state`` is a live
-  :class:`ZoneStateView` over its row, so sensors, boards and the
-  recorder read exactly the values they always did, and RNG draw order
-  is untouched.
+* The zone state it works on is the room's own structure of arrays
+  (:class:`~repro.physics.room.ZoneStateArrays`, ``Room.arrays``): each
+  subspace's ``state`` is a live view of its row, so sensors, boards
+  and the recorder read exactly the values they always did, and RNG
+  draw order is untouched.
 * :class:`VectorPlantKernel` advances the whole plant over one
   event-free gap in a single fused call: every gap-invariant quantity
   (pump flows, exchanger effectiveness, fan power, coil constants, tank
   thermal masses, chiller COP at the frozen reject temperature) is
   hoisted once per gap, and the per-tick loop runs on plain local
-  floats.  Macro gaps then hand their averaged boundary inputs, as
-  arrays, to the closed-form eigensolve the scalar path uses
-  (:meth:`Room.macro_solve`), so clamp-binding regimes fall back to
-  per-tick integration *exactly* as the reference does.
+  floats.  The room itself is advanced by the room's own integrators:
+  a unit tick hands its unboxed per-zone inputs to the one Euler zone
+  balance (:meth:`Room.advance`), and a macro gap hands its averaged
+  boundary inputs, as arrays, to the closed-form eigensolve
+  (:meth:`Room.macro_solve`), falling back to :meth:`Room.advance`
+  when a clamp binds, exactly as the scalar plant does.
 
 Bit-exactness contract: every floating-point expression below repeats
 the grouping of the scalar component it replaces (``plant.py``,
-``room.py``, ``tank.py``, ``coil.py``, ``panel.py``, ...), accumulators
-keep their per-tick add order, and hoisted subexpressions are exactly
-the loop-invariant factors of the original expressions.  The scalar
-path remains the reference oracle; ``tests/test_vector_equivalence.py``
-pins the two together bit for bit.
+``tank.py``, ``coil.py``, ``panel.py``, ...), accumulators keep their
+per-tick add order, and hoisted subexpressions are exactly the
+loop-invariant factors of the original expressions.  The scalar
+hydronic/airside/tank path (``physics_vector=False``) remains the
+reference oracle for the fused exchange tick;
+``tests/test_vector_equivalence.py`` pins the two together bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -53,127 +51,12 @@ from repro.physics.psychrometrics import (
     dew_point_from_humidity_ratio,
     humidity_ratio_from_dew_point,
     moist_air_enthalpy,
-    relative_humidity_from_ratio,
 )
-from repro.physics.room import (
-    AIR_CP,
-    AIR_DENSITY,
-    OCCUPANT_CO2_M3S,
-    OCCUPANT_LATENT_KGS,
-    OCCUPANT_SENSIBLE_W,
-    Room,
-    Subspace,
-    SubspaceInputs,
-)
+from repro.physics.room import AIR_DENSITY
 
 # plant.py imports this module only lazily (inside ``Plant.__init__``),
 # so pulling its constant here cannot cycle.
 from repro.core.plant import CONDENSER_APPROACH_K
-
-
-class ZoneStateArrays:
-    """All zones' air state as three ``float64[n]`` arrays."""
-
-    __slots__ = ("temp_c", "humidity_ratio", "co2_ppm")
-
-    def __init__(self, temp_c: Sequence[float],
-                 humidity_ratio: Sequence[float],
-                 co2_ppm: Sequence[float]) -> None:
-        self.temp_c = np.asarray(temp_c, dtype=np.float64)
-        self.humidity_ratio = np.asarray(humidity_ratio, dtype=np.float64)
-        self.co2_ppm = np.asarray(co2_ppm, dtype=np.float64)
-        if not (self.temp_c.shape == self.humidity_ratio.shape
-                == self.co2_ppm.shape) or self.temp_c.ndim != 1:
-            raise ValueError("zone state arrays must be equal-length 1-D")
-
-    def __len__(self) -> int:
-        return len(self.temp_c)
-
-
-class ZoneStateView:
-    """Live scalar view of one zone's row of a :class:`ZoneStateArrays`.
-
-    Duck-types :class:`~repro.physics.room.SubspaceState`: sensors and
-    controllers read ``temp_c`` / ``humidity_ratio`` / ``co2_ppm`` /
-    ``dew_point_c`` / ``relative_humidity()`` and always see the current
-    array contents.
-    """
-
-    __slots__ = ("_arrays", "_index")
-
-    def __init__(self, arrays: ZoneStateArrays, index: int) -> None:
-        self._arrays = arrays
-        self._index = index
-
-    @property
-    def temp_c(self) -> float:
-        return float(self._arrays.temp_c[self._index])
-
-    @property
-    def humidity_ratio(self) -> float:
-        return float(self._arrays.humidity_ratio[self._index])
-
-    @property
-    def co2_ppm(self) -> float:
-        return float(self._arrays.co2_ppm[self._index])
-
-    @property
-    def dew_point_c(self) -> float:
-        return dew_point_from_humidity_ratio(self.humidity_ratio)
-
-    def relative_humidity(self) -> float:
-        return relative_humidity_from_ratio(self.temp_c, self.humidity_ratio)
-
-    def __repr__(self) -> str:
-        return (f"ZoneStateView(temp_c={self.temp_c!r}, "
-                f"humidity_ratio={self.humidity_ratio!r}, "
-                f"co2_ppm={self.co2_ppm!r})")
-
-
-class VectorSubspace(Subspace):
-    """A :class:`Subspace` whose state lives in shared SoA storage.
-
-    ``state`` reads return the live view; ``state`` writes (the pattern
-    the scalar integrators and tests use: ``s.state = SubspaceState(...)``)
-    store the three scalars into the arrays.
-    """
-
-    def __init__(self, index: int, volume_m3: float,
-                 arrays: ZoneStateArrays) -> None:
-        self.index = index
-        self.volume_m3 = volume_m3
-        self._arrays = arrays
-        self._view = ZoneStateView(arrays, index)
-
-    @property
-    def state(self) -> ZoneStateView:
-        return self._view
-
-    @state.setter
-    def state(self, value) -> None:
-        i = self.index
-        self._arrays.temp_c[i] = value.temp_c
-        self._arrays.humidity_ratio[i] = value.humidity_ratio
-        self._arrays.co2_ppm[i] = value.co2_ppm
-
-
-def attach_soa(room: Room) -> ZoneStateArrays:
-    """Rewire ``room`` onto structure-of-arrays state storage.
-
-    Idempotent: a room already attached keeps its arrays.  The scalar
-    integrators (:meth:`Room.step`, :meth:`Room.macro_step`) keep
-    working unchanged — they read per-zone views and write through the
-    ``state`` setter — so the fallback paths stay bit-identical.
-    """
-    if room.subspaces and isinstance(room.subspaces[0], VectorSubspace):
-        return room.subspaces[0]._arrays
-    arrays = ZoneStateArrays(
-        [s.state.temp_c for s in room.subspaces],
-        [s.state.humidity_ratio for s in room.subspaces],
-        [s.state.co2_ppm for s in room.subspaces])
-    room.subspaces = [VectorSubspace(s.index, s.volume_m3, arrays)
-                      for s in room.subspaces]
-    return arrays
 
 
 def _tank_tick(st: list, dt: float, ambient: float, ua: float, mass: float,
@@ -218,15 +101,15 @@ def _tank_tick(st: list, dt: float, ambient: float, ua: float, mass: float,
 class VectorPlantKernel:
     """Fused gap integrator for one :class:`~repro.core.plant.Plant`.
 
-    Owns the plant's zone state as SoA arrays and advances hydronics,
-    airside, tanks and room over a whole event-free gap in one call.
+    Advances hydronics, airside, tanks and the room's SoA zone state
+    over a whole event-free gap in one call.
     Constructed by ``Plant(..., vector=True)``; the plant then delegates
     :meth:`step` / :meth:`macro_step` here.
     """
 
     def __init__(self, plant) -> None:
         self.plant = plant
-        self.arrays = attach_soa(plant.room)
+        self.arrays = plant.room.arrays
         self._n = len(plant.room.subspaces)
         self._ctx_built = False
 
@@ -359,7 +242,6 @@ class VectorPlantKernel:
         outdoor = plant.weather.state_at(now)
         out_t = outdoor.temp_c
         out_w = outdoor.humidity_ratio
-        out_co2 = outdoor.co2_ppm
         reject = out_t + CONDENSER_APPROACH_K
 
         # Zone state, frozen for the whole gap (the scalar paths update
@@ -369,11 +251,8 @@ class VectorPlantKernel:
         co2s = arrays.co2_ppm.tolist()
 
         if macro:
-            # mean_temp_c(): int-0 seeded sequential sum, like sum().
-            acc = 0
-            for t in temps:
-                acc = acc + t
-            ambient = acc / n
+            # The room is frozen during the gap, so the tank ambient is too.
+            ambient = room.mean_temp_c()
 
         if not self._ctx_built:
             self._build_ctx()
@@ -749,25 +628,24 @@ class VectorPlantKernel:
             new_state = room.macro_solve(ticks * dt, outdoor, x0,
                                          gap_inputs)
             if new_state is None:
-                # Clamp fallback: the per-tick reference integrator.
-                room.step(ticks * dt, outdoor, [
-                    SubspaceInputs(*row)
-                    for row in np.array(gap_inputs).T.tolist()])
+                # Clamp fallback: the room's per-tick Euler balance.
+                room.advance(ticks * dt, outdoor, temps, ws, co2s,
+                             [row.tolist() for row in gap_inputs])
+                arrays.temp_c[:] = temps
+                arrays.humidity_ratio[:] = ws
+                arrays.co2_ppm[:] = co2s
             else:
                 arrays.temp_c[:] = new_state[0]
                 arrays.humidity_ratio[:] = new_state[1]
                 arrays.co2_ppm[:] = new_state[2]
         else:
-            self._fused_euler(dt, out_t, out_w, out_co2, temps, ws, co2s,
-                              tick_ph, u_eflow, u_supt, u_supw,
-                              occupants, equipment, opening)
+            room.advance(dt, outdoor, temps, ws, co2s,
+                         (tick_ph, u_eflow, u_supt, u_supw, occupants,
+                          equipment, opening))
             arrays.temp_c[:] = temps
             arrays.humidity_ratio[:] = ws
             arrays.co2_ppm[:] = co2s
-            acc = 0
-            for t in temps:
-                acc = acc + t
-            ambient = acc / n
+            ambient = room.mean_temp_c()
             _tank_tick(r_st, dt, ambient, r_ua, r_mass, r_hi, r_lo,
                        r_cap, r_par, r_cop)
             _tank_tick(v_st, dt, ambient, v_ua, v_mass, v_hi, v_lo,
@@ -818,84 +696,3 @@ class VectorPlantKernel:
         room.condensation_events = cond_events
         plant.fan_energy_j = fan_acc
         plant.time_integrated_s += ticks * dt
-
-    # ------------------------------------------------------------------
-    def _fused_euler(self, dt: float, out_t: float, out_w: float,
-                     out_co2: float, temps: list, ws: list, co2s: list,
-                     panel_heat: list, vent_flow: list, sup_t: list,
-                     sup_w: list, occupants: Sequence[float],
-                     equipment: Sequence[float],
-                     opening: Sequence[float]) -> None:
-        """:meth:`Room.step` on unboxed zone lists (in place)."""
-        room = self.plant.room
-        params = room.params
-        n = self._n
-        adjacency = room.adjacency
-        coupling_ua = params.coupling_ua_w_per_k
-        mixing_flow = params.mixing_flow_m3s
-        m_mix = room._m_mix
-        mc_mix = room._mc_mix
-        envelope_ua = params.envelope_ua_w_per_k
-        capacity = params.capacity_j_per_k
-        door_exchange = params.door_exchange_m3s
-        buffer_factor = params.moisture_buffer_factor
-        infil_flows = room._infil_flows
-        water_masses = room._water_masses
-        volumes = [s.volume_m3 for s in room.subspaces]
-        max_euler_dt = room._max_euler_dt
-        co2_floor = out_co2 * 0.5
-
-        remaining = float(dt)
-        while remaining > 1e-12:
-            sub_dt = min(max_euler_dt, remaining)
-            d_temp = [0.0] * n
-            d_w = [0.0] * n
-            d_co2 = [0.0] * n
-            for i, j in adjacency:
-                delta_t = temps[j] - temps[i]
-                q_pair = coupling_ua * delta_t + mc_mix * delta_t
-                d_temp[i] += q_pair
-                d_temp[j] -= q_pair
-                w_flux = m_mix * (ws[j] - ws[i])
-                d_w[i] += w_flux
-                d_w[j] -= w_flux
-                c_flux = mixing_flow * (co2s[j] - co2s[i])
-                d_co2[i] += c_flux
-                d_co2[j] -= c_flux
-            for i in range(n):
-                temp = temps[i]
-                w = ws[i]
-                co2 = co2s[i]
-                q = d_temp[i]
-                q += envelope_ua * (out_t - temp)
-                q += occupants[i] * OCCUPANT_SENSIBLE_W + equipment[i]
-                q -= panel_heat[i]
-                m_vent = vent_flow[i] * AIR_DENSITY
-                q += m_vent * AIR_CP * (sup_t[i] - temp)
-                infil_flow = infil_flows[i]
-                door_flow = opening[i] * door_exchange
-                m_exch = (infil_flow + door_flow) * AIR_DENSITY
-                q += m_exch * AIR_CP * (out_t - temp)
-                new_temp = temp + sub_dt * q / capacity
-
-                mw = d_w[i] * buffer_factor
-                mw += m_vent * (sup_w[i] - w)
-                mw += m_exch * (out_w - w)
-                mw += occupants[i] * OCCUPANT_LATENT_KGS
-                new_w = w + sub_dt * mw / water_masses[i]
-                if new_w < 1e-5:
-                    new_w = 1e-5
-
-                c = d_co2[i]
-                c += vent_flow[i] * (out_co2 - co2)
-                c += (infil_flow + door_flow) * (out_co2 - co2)
-                c += occupants[i] * OCCUPANT_CO2_M3S * 1e6
-                new_co2 = co2 + sub_dt * c / volumes[i]
-                if new_co2 < co2_floor:
-                    new_co2 = co2_floor
-
-                temps[i] = new_temp
-                ws[i] = new_w
-                co2s[i] = new_co2
-            remaining -= sub_dt
-

@@ -20,8 +20,8 @@ from repro.runtime.spec import (
     RunSpec,
     execute_spec,
     paper_metrics,
-    shift_fault,
 )
+from repro.workloads.faults import shift_fault
 
 __all__ = [
     "RunFailure",

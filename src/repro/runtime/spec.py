@@ -33,15 +33,8 @@ from typing import Dict, Optional, Tuple
 from repro.analysis.degradation import RunOutcome, summarize_run
 from repro.analysis.fingerprint import discrete_log_hash, state_digest
 from repro.core.config import BubbleZeroConfig
-from repro.scenarios.spec import (
-    SCRIPT_BUILDERS,  # noqa: F401  (re-exported for compat)
-    ScenarioSpec,
-    prepare_run,
-)
-from repro.workloads.faults import (
-    Fault,
-    shift_fault,  # noqa: F401  (re-exported for compat)
-)
+from repro.scenarios.spec import ScenarioSpec, prepare_run
+from repro.workloads.faults import Fault
 
 
 @dataclass(frozen=True, init=False)

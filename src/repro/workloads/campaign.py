@@ -38,7 +38,7 @@ from repro.analysis.degradation import (
 from repro.obs.manifest import build_manifest
 from repro.runtime.pool import RunPayload, run_matrix
 from repro.runtime.progress import ProgressEvent, first_starts
-from repro.runtime.spec import RunFailure, RunSpec, shift_fault
+from repro.runtime.spec import RunFailure, RunSpec
 from repro.scenarios.registry import full_cell_faults, quick_cell_faults
 from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.faults import Fault, NodeCrash, describe_fault
@@ -230,10 +230,6 @@ def filter_cells(cells: Sequence[CampaignCell],
 # ----------------------------------------------------------------------
 # Runner: spec-producing and merging halves around repro.runtime
 # ----------------------------------------------------------------------
-# Backwards-compatible alias; the shift now lives with the executor.
-_shift = shift_fault
-
-
 class CampaignExecutionError(RuntimeError):
     """The campaign could not be scored (the baseline run failed)."""
 

@@ -5,7 +5,6 @@ import pytest
 from repro.workloads.campaign import (
     CampaignCell,
     CampaignConfig,
-    _shift,
     full_matrix,
     quick_matrix,
     run_campaign,
@@ -15,6 +14,7 @@ from repro.workloads.faults import (
     NodeCrash,
     SensorDrift,
     SensorStuck,
+    shift_fault,
 )
 
 
@@ -76,16 +76,16 @@ class TestConfigValidation:
 class TestShift:
     def test_shift_preserves_relative_offsets(self):
         stuck = SensorStuck(30.0, "d", 1.0, until=90.0)
-        shifted = _shift(stuck, 1000.0)
+        shifted = shift_fault(stuck, 1000.0)
         assert shifted.time == 1030.0
         assert shifted.until == 1090.0
-        jam = _shift(ChannelJam(10.0, 20.0, duty=0.4), 1000.0)
+        jam = shift_fault(ChannelJam(10.0, 20.0, duty=0.4), 1000.0)
         assert (jam.start, jam.end, jam.duty) == (1010.0, 1020.0, 0.4)
-        crash = _shift(NodeCrash(5.0, "d"), 1000.0)
+        crash = shift_fault(NodeCrash(5.0, "d"), 1000.0)
         assert crash.time == 1005.0
 
     def test_shift_keeps_permanent_faults_permanent(self):
-        drift = _shift(SensorDrift(30.0, "d", 1.0), 500.0)
+        drift = shift_fault(SensorDrift(30.0, "d", 1.0), 500.0)
         assert drift.until is None
 
 

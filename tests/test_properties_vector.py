@@ -100,13 +100,14 @@ class TestClampFallback:
     def _room(self, w0):
         from repro.core.config import BubbleZeroConfig
         from repro.core.system import BubbleZero
+        from repro.physics.room import SubspaceState
 
         system = BubbleZero(BubbleZeroConfig(
             seed=7, physics_vector=False))
         room = system.plant.room
         for sub in room.subspaces:
             state = sub.state
-            sub.state = type(state)(state.temp_c, w0, state.co2_ppm)
+            sub.state = SubspaceState(state.temp_c, w0, state.co2_ppm)
         return room, system
 
     @given(w0=st.floats(min_value=1e-6, max_value=1e-5))
@@ -137,7 +138,7 @@ def _assemble_per_zone(room, outdoor, inputs):
     """Per-zone loop reference for ``Room._assemble_macro``.
 
     Each zone's loss diagonal and forcing, written as the scalar
-    balance of ``Room._euler_step`` splits them, on Python floats.
+    balance of ``Room.advance`` splits them, on Python floats.
     """
     from repro.physics.room import (
         AIR_CP, AIR_DENSITY, OCCUPANT_CO2_M3S, OCCUPANT_LATENT_KGS,

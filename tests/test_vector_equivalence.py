@@ -204,3 +204,110 @@ class TestKernelClampFallback:
             assert all(room.state_of(i).humidity_ratio >= 1e-5
                        for i in range(len(room.subspaces)))
         _assert_identical(scalar, vector)
+
+
+class TestVentTickClamps:
+    """A dry inlet colder than the coil water, and a flap travel that is
+    no whole number of ticks, driven by hand on both plants.
+
+    The vent tank starts warm (a chiller that has fallen behind), so
+    three clamps of the vent-unit tick bind: the coil heat floor at 0
+    (the apparatus is warmer than the inlet, so the raw enthalpy drop
+    is negative), the outlet humidity-ratio
+    cap at the inlet's (the inlet dew point is below the coil's
+    reachable dew, and its humidity-ratio round trip lands above the
+    inlet's) and the flap-travel clamp (3.5 s of travel at 1 s ticks
+    overshoots both end stops).  The vector kernel must match the
+    scalar plant bit for bit through all of them.
+    """
+
+    TEMP_C = 14.0
+    DEW_C = 1.05
+    TANK_C = 20.0
+    TRAVEL_S = 3.5
+
+    def _system(self, vector):
+        from repro.physics.weather import ConstantWeather
+
+        config = BubbleZeroConfig(seed=7, network=DIRECT,
+                                  physics_vector=vector)
+        system = BubbleZero(config, topology=grid_topology(4, cols=2),
+                            weather=ConstantWeather(self.TEMP_C,
+                                                    self.DEW_C))
+        system.plant.vent_tank.temp_c = self.TANK_C
+        for unit in system.plant.vent_units:
+            unit.flap.travel_time_s = self.TRAVEL_S
+            unit.airbox.set_fan_flow_demand(0.03)
+            pump = unit.airbox.coil_pump
+            pump.set_voltage(pump.curve.max_voltage)
+        return system
+
+    def _drive(self, system):
+        """Open then close every flap, five unit ticks each, then one
+        macro gap; return each tick's flap positions and unit outputs."""
+        plant = system.plant
+        now = system.sim.clock.now
+        log = []
+        for flap_open in (True, False):
+            for unit in plant.vent_units:
+                unit.flap.command(flap_open)
+            for _ in range(5):
+                plant.step(now, 1.0)
+                now += 1.0
+                log.append([(unit.flap.position, unit.last_output)
+                            for unit in plant.vent_units])
+        plant.macro_step(now, 20, 1.0)
+        return log
+
+    def test_clamps_bind_and_paths_agree(self):
+        from repro.physics.psychrometrics import (
+            dew_point_from_humidity_ratio,
+            humidity_ratio_from_dew_point,
+        )
+
+        scalar, vector = (self._system(v) for v in (False, True))
+        out_w = scalar.plant.outdoor(0.0).humidity_ratio
+        # The coil hands back the inlet's dew point, whose humidity
+        # ratio rounds above the inlet's: the outlet cap must bind.
+        assert (humidity_ratio_from_dew_point(
+            dew_point_from_humidity_ratio(out_w)) > out_w)
+        scalar_log = self._drive(scalar)
+        vector_log = self._drive(vector)
+        # The scalar reference reaches every clamp: coil and fans on,
+        # heat held at the floor, supply capped at the inlet's
+        # humidity ratio, and the flap stopped at each end stop (four
+        # ticks of 1/3.5 overshoot it) rather than a travel multiple.
+        for tick in scalar_log:
+            for _, out in tick:
+                assert out.flow_m3s > 0 and out.coil_water_flow_lps > 0
+                assert out.coil_heat_w == 0.0
+                assert out.supply_humidity_ratio == out_w
+        positions = [tick[0][0] for tick in scalar_log]
+        assert positions[3:5] == [1.0, 1.0]
+        assert positions[8:10] == [0.0, 0.0]
+        assert vector_log == scalar_log
+        _assert_identical(scalar, vector)
+
+
+class TestZoneMean:
+    """The zone mean is one left-to-right sum from int 0.
+
+    ``sum()`` of floats is compensated from Python 3.12 on, so a mean
+    written with it would round differently there: ``sum([0.1] * 10)``
+    is ``1.0`` on 3.12 but ``0.9999999999999999`` on 3.11.
+    """
+
+    def test_mean_is_sequential_sum(self):
+        import functools
+        import operator
+
+        from repro.physics.room import Room, RoomGeometry, SubspaceState
+
+        n = 10
+        room = Room(RoomGeometry(subspace_count=n))
+        for sub in room.subspaces:
+            sub.state = SubspaceState(0.1, 0.1, 0.1)
+        expected = functools.reduce(operator.add, [0.1] * n, 0) / n
+        assert room.mean_temp_c() == expected
+        assert room.mean_humidity_ratio() == expected
+        assert room.mean_co2_ppm() == expected
