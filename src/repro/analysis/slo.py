@@ -9,32 +9,37 @@ injection/clearance pairs of :mod:`repro.workloads.faults` and the
 fallback-ladder ``tier.transition`` events of the boards — and scores
 it against declared budgets:
 
-* **comfort-violation minutes** per window (union over zones of the
-  ``comfort.breach``/``comfort.cleared`` intervals);
-* **dew-margin breach minutes** per window (``dew.breach`` pairs,
-  union over panels);
+* **comfort-violation minutes** per window: each zone's
+  ``comfort.breach``/``comfort.cleared`` intervals overlapped with
+  the window, summed over zones (zone-minutes);
+* **dew-margin breach minutes** per window: each panel's
+  ``dew.breach``/``dew.cleared`` overlap, summed over panels
+  (panel-minutes);
 * **estimate-tier staleness minutes** per window (time any board
   estimate spent at fallback tier >= 2, summed over estimates);
 * **recovery time** after each injected fault: how long after the
   fault's clearance (its onset, for permanent crashes) the comfort
-  SLO stayed breached.
+  SLO stayed breached — the one place the comfort intervals are
+  merged into a union over zones.
 
 Everything is computed from event *transitions*, so the scorer needs
 only the compact event list a pool worker ships back — never the full
 trace — and the same list always produces the same report, bit for
-bit.  Interval reconstruction uses depth counting (union semantics),
-anchors an end-without-start at the scoring origin and truncates
-still-open intervals at the horizon, so logs from runs that ended
-mid-fault score correctly.
+bit.  Interval reconstruction uses depth counting (a union within
+each zone or panel), anchors an end-without-start at the scoring
+origin and truncates still-open intervals at the horizon, so logs
+from runs that ended mid-fault score correctly.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import events as ev
+from repro.obs.schema import NULLABLE_NUM, NUM, Schema, check_records
 
 #: A fault whose clearance leaves comfort clean is only blamed for a
 #: breach that starts within this many seconds of the clearance.
@@ -536,63 +541,29 @@ def score_system(system, label: str, window_s: float,
 
 
 # ----------------------------------------------------------------------
-# Streamed-row validation (the chaos CLI's JSONL contract)
+# Report-row validation (the chaos CLI's JSONL contract)
 # ----------------------------------------------------------------------
-_NUM = (int, float)
-_NULLABLE_NUM = (int, float, type(None))
-
-#: kind -> required fields of one streamed chaos report row.
-ROW_SCHEMA: Dict[str, Dict[str, tuple]] = {
-    "chaos.meta": {"scenario": (str,), "hours": _NUM, "seeds": (list,),
-                   "controllers": (list,), "window_minutes": _NUM,
-                   "warmup_minutes": _NUM, "budgets": (dict,)},
-    "chaos.window": {"run": (str,), "window": (int,), "t0": _NUM,
-                     "t1": _NUM, "comfort_min": _NUM, "dew_min": _NUM,
-                     "degraded_min": _NUM, "faults_injected": (int,),
-                     "faults_cleared": (int,), "breached": (str,),
-                     "passed": (bool,),
-                     "dataage_p95_s": _NULLABLE_NUM},
-    "chaos.summary": {"run": (str,), "windows": (int,),
-                      "windows_passed": (int,), "comfort_min": _NUM,
-                      "dew_min": _NUM, "degraded_min": _NUM,
-                      "faults": (int,), "unrecovered": (int,),
-                      "recovery_max_s": _NULLABLE_NUM,
-                      "recovery_mean_s": _NULLABLE_NUM,
+#: kind -> (required, optional) fields of one chaos report row; rows
+#: have no optional fields.
+ROW_SCHEMA: Schema = {
+    "chaos.meta": ({"scenario": (str,), "hours": NUM, "seeds": (list,),
+                    "controllers": (list,), "window_minutes": NUM,
+                    "warmup_minutes": NUM, "budgets": (dict,)}, {}),
+    "chaos.window": ({"run": (str,), "window": (int,), "t0": NUM,
+                      "t1": NUM, "comfort_min": NUM, "dew_min": NUM,
+                      "degraded_min": NUM, "faults_injected": (int,),
+                      "faults_cleared": (int,), "breached": (str,),
                       "passed": (bool,),
-                      "dataage_p95_s": _NULLABLE_NUM,
-                      "fault_age_delta_s": _NULLABLE_NUM},
+                      "dataage_p95_s": NULLABLE_NUM}, {}),
+    "chaos.summary": ({"run": (str,), "windows": (int,),
+                       "windows_passed": (int,), "comfort_min": NUM,
+                       "dew_min": NUM, "degraded_min": NUM,
+                       "faults": (int,), "unrecovered": (int,),
+                       "recovery_max_s": NULLABLE_NUM,
+                       "recovery_mean_s": NULLABLE_NUM,
+                       "passed": (bool,),
+                       "dataage_p95_s": NULLABLE_NUM,
+                       "fault_age_delta_s": NULLABLE_NUM}, {}),
 }
 
-
-def validate_report_rows(rows: Iterable[Dict[str, object]]) -> List[str]:
-    """Problems with streamed chaos rows; empty when fully valid.
-
-    Mirrors the strictness of :mod:`repro.obs.schema`: unknown kinds,
-    missing fields and extra fields are all errors.
-    """
-    problems: List[str] = []
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if not isinstance(kind, str) or kind not in ROW_SCHEMA:
-            problems.append(f"row {i}: unknown row kind {kind!r}")
-            continue
-        fields = ROW_SCHEMA[kind]
-        for name, types in fields.items():
-            if name not in row:
-                problems.append(
-                    f"row {i}: {kind}: missing field {name!r}")
-            elif not _typecheck(row[name], types):
-                problems.append(
-                    f"row {i}: {kind}: field {name!r} has type "
-                    f"{type(row[name]).__name__}")
-        for name in row:
-            if name != "kind" and name not in fields:
-                problems.append(
-                    f"row {i}: {kind}: undocumented field {name!r}")
-    return problems
-
-
-def _typecheck(value: object, types: tuple) -> bool:
-    if isinstance(value, bool):
-        return bool in types
-    return isinstance(value, types)
+validate_report_rows = partial(check_records, schema=ROW_SCHEMA, tag="kind")

@@ -1,10 +1,16 @@
-"""The documented contract of every event record.
+"""The documented contract of every event record, and the one
+strict-record validator behind every JSONL artifact.
 
-One entry per event kind: which fields must be present (and their
-types) and which may be.  The CI telemetry step, the ``repro status
---validate`` flag and the observability tests all validate against
-this module, so an emitter drifting from the documented shape fails
-loudly in three places.
+A schema is a ``{tag: (required, optional)}`` table: the value of one
+named tag field (``kind`` for events and chaos report rows, ``name``
+for trace spans) selects which fields must be present (and their
+types) and which may be.  :data:`EVENT_SCHEMA` below, ``TRACE_SCHEMA``
+in :mod:`repro.obs.trace` and ``ROW_SCHEMA`` in
+:mod:`repro.analysis.slo` are all data in that one shape, checked by
+the same three functions: one record, a list of records, JSONL text.
+The CI telemetry and chaos steps, the ``repro status --validate`` flag
+and the tests all validate through them, so an emitter drifting from
+the documented shape fails loudly in three places.
 
 ``t`` is the simulation timestamp.  Worker lifecycle events carry
 ``t: null`` — they happen in wall time in the pool, outside any
@@ -14,59 +20,62 @@ simulator — which is the only place a null timestamp is legal.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Dict, Iterable, List, Tuple
 
 from repro.obs import events as ev
 
 SCHEMA_VERSION = 1
 
-_NUM = (int, float)
-_NULLABLE_NUM = (int, float, type(None))
+#: tag -> (required fields, optional fields); values are type tuples.
+Schema = Dict[str, Tuple[Dict[str, tuple], Dict[str, tuple]]]
 
-# kind -> (required fields, optional fields); values are type tuples.
+NUM = (int, float)
+NULLABLE_NUM = (int, float, type(None))
+
 # ``run`` is attached by the telemetry writer (which run of a campaign
 # or sweep emitted the record), hence optional everywhere.
-EVENT_SCHEMA: Dict[str, Tuple[Dict[str, tuple], Dict[str, tuple]]] = {
+EVENT_SCHEMA: Schema = {
     ev.FAULT_INJECTED: (
-        {"t": _NUM, "fault": (str,), "device": (str,)},
-        {"value": _NUM, "offset": _NUM, "duty": _NUM, "until": _NULLABLE_NUM,
-         "end": _NUM, "run": (str,)},
+        {"t": NUM, "fault": (str,), "device": (str,)},
+        {"value": NUM, "offset": NUM, "duty": NUM, "until": NULLABLE_NUM,
+         "end": NUM, "run": (str,)},
     ),
     ev.FAULT_CLEARED: (
-        {"t": _NUM, "fault": (str,), "device": (str,)},
+        {"t": NUM, "fault": (str,), "device": (str,)},
         {"run": (str,)},
     ),
     ev.TIER_TRANSITION: (
-        {"t": _NUM, "board": (str,), "estimate": (str,), "tier": (int,),
+        {"t": NUM, "board": (str,), "estimate": (str,), "tier": (int,),
          "prev_tier": (int,)},
         {"run": (str,)},
     ),
     ev.COMFORT_BREACH: (
-        {"t": _NUM, "zone": (int,)},
+        {"t": NUM, "zone": (int,)},
         {"run": (str,)},
     ),
     ev.COMFORT_CLEARED: (
-        {"t": _NUM, "zone": (int,)},
+        {"t": NUM, "zone": (int,)},
         {"run": (str,)},
     ),
     ev.DEW_BREACH: (
-        {"t": _NUM, "panel": (int,)},
+        {"t": NUM, "panel": (int,)},
         {"run": (str,)},
     ),
     ev.DEW_CLEARED: (
-        {"t": _NUM, "panel": (int,)},
+        {"t": NUM, "panel": (int,)},
         {"run": (str,)},
     ),
     ev.CONSERVATIVE_LATCHED: (
-        {"t": _NUM},
+        {"t": NUM},
         {"run": (str,)},
     ),
     ev.CONSERVATIVE_RELEASED: (
-        {"t": _NUM, "held_s": _NUM},
+        {"t": NUM, "held_s": NUM},
         {"run": (str,)},
     ),
     ev.COLLISION_BURST: (
-        {"t": _NUM, "frames": (int,), "start": _NUM, "end": _NUM},
+        {"t": NUM, "frames": (int,), "start": NUM, "end": NUM},
         {"run": (str,)},
     ),
     ev.WORKER_STARTED: (
@@ -77,7 +86,7 @@ EVENT_SCHEMA: Dict[str, Tuple[Dict[str, tuple], Dict[str, tuple]]] = {
     ev.WORKER_FINISHED: (
         {"t": (type(None),), "run": (str,), "index": (int,),
          "attempt": (int,)},
-        {"wall_s": _NUM},
+        {"wall_s": NUM},
     ),
     ev.WORKER_RETRIED: (
         {"t": (type(None),), "run": (str,), "index": (int,),
@@ -87,56 +96,53 @@ EVENT_SCHEMA: Dict[str, Tuple[Dict[str, tuple], Dict[str, tuple]]] = {
     ev.WORKER_FAILED: (
         {"t": (type(None),), "run": (str,), "index": (int,),
          "attempt": (int,)},
-        {"detail": (str,), "wall_s": _NUM},
+        {"detail": (str,), "wall_s": NUM},
     ),
 }
 
 
-def validate_event(record: Dict[str, object]) -> List[str]:
-    """Problems with one record against the schema; empty when valid.
+def check_record(record: Dict[str, object], schema: Schema,
+                 tag: str) -> List[str]:
+    """Problems with one record against ``schema``; empty when valid.
 
-    Strict on both sides: a missing or mistyped required field is an
-    error, and so is any field the schema does not document — every
-    emitter in the tree is ours, so an undocumented field is schema
-    drift, not extensibility.
+    ``record[tag]`` selects the entry.  Strict on both sides: a missing
+    or mistyped required field is an error, and so is any field the
+    entry does not document — every emitter in the tree is ours, so an
+    undocumented field is schema drift, not extensibility.  The tag
+    field itself is always allowed.
     """
-    kind = record.get("kind")
-    if not isinstance(kind, str) or kind not in EVENT_SCHEMA:
-        return [f"unknown event kind {kind!r}"]
-    required, optional = EVENT_SCHEMA[kind]
+    key = record.get(tag)
+    if not isinstance(key, str) or key not in schema:
+        return [f"unknown {tag} {key!r}"]
+    required, optional = schema[key]
     problems: List[str] = []
     for field, types in required.items():
         if field not in record:
-            problems.append(f"{kind}: missing required field {field!r}")
+            problems.append(f"{key}: missing required field {field!r}")
         elif not _typecheck(record[field], types):
-            problems.append(
-                f"{kind}: field {field!r} has type "
-                f"{type(record[field]).__name__}, expected "
-                f"{_type_names(types)}")
+            problems.append(_mistyped(key, field, record[field], types))
     for field, value in record.items():
-        if field == "kind" or field in required:
+        if field == tag or field in required:
             continue
         if field not in optional:
-            problems.append(f"{kind}: undocumented field {field!r}")
+            problems.append(f"{key}: undocumented field {field!r}")
         elif not _typecheck(value, optional[field]):
-            problems.append(
-                f"{kind}: field {field!r} has type "
-                f"{type(value).__name__}, expected "
-                f"{_type_names(optional[field])}")
+            problems.append(_mistyped(key, field, value, optional[field]))
     return problems
 
 
-def validate_records(records: Iterable[Dict[str, object]]) -> List[str]:
+def check_records(records: Iterable[Dict[str, object]], schema: Schema,
+                  tag: str) -> List[str]:
     """All problems across ``records``, prefixed with record indices."""
     problems: List[str] = []
     for i, record in enumerate(records):
         problems.extend(f"record {i}: {problem}"
-                        for problem in validate_event(record))
+                        for problem in check_record(record, schema, tag))
     return problems
 
 
-def validate_jsonl(text: str) -> List[str]:
-    """Validate JSONL telemetry text line by line."""
+def check_jsonl(text: str, schema: Schema, tag: str) -> List[str]:
+    """Validate JSONL text line by line (blank lines skipped)."""
     problems: List[str] = []
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
@@ -150,17 +156,23 @@ def validate_jsonl(text: str) -> List[str]:
             problems.append(f"line {i + 1}: not a JSON object")
             continue
         problems.extend(f"line {i + 1}: {problem}"
-                        for problem in validate_event(record))
+                        for problem in check_record(record, schema, tag))
     return problems
 
 
+validate_event = partial(check_record, schema=EVENT_SCHEMA, tag="kind")
+validate_records = partial(check_records, schema=EVENT_SCHEMA, tag="kind")
+validate_jsonl = partial(check_jsonl, schema=EVENT_SCHEMA, tag="kind")
+
+
 def _typecheck(value: object, types: tuple) -> bool:
-    # bool is an int subclass; an event field documented as numeric
-    # must still reject True/False.
+    # bool is an int subclass; a field documented as numeric must
+    # still reject True/False.
     if isinstance(value, bool):
         return bool in types
     return isinstance(value, types)
 
 
-def _type_names(types: tuple) -> str:
-    return "|".join(t.__name__ for t in types)
+def _mistyped(key: str, field: str, value: object, types: tuple) -> str:
+    return (f"{key}: field {field!r} has type {type(value).__name__}, "
+            f"expected {'|'.join(t.__name__ for t in types)}")

@@ -34,6 +34,7 @@ import json
 import os
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.analysis.export import write_report_json
 from repro.analysis.reporting import render_table
 from repro.obs import events as ev
 from repro.obs import schema
@@ -45,12 +46,6 @@ TELEMETRY_FILES = ("manifest.json", "events.jsonl", "metrics.json",
 
 _MANIFEST_REQUIRED = ("schema_version", "command", "config_hash", "seed",
                       "packages", "platform", "cpu_count")
-
-
-def _dump_json(path: str, payload: object) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=float)
-        handle.write("\n")
 
 
 def _tagged(records: Iterable[Dict[str, object]],
@@ -103,7 +98,7 @@ def write_run_telemetry(directory: str,
 
     paths = []
     path = os.path.join(directory, "manifest.json")
-    _dump_json(path, manifest)
+    write_report_json(manifest, path)
     paths.append(path)
     path = os.path.join(directory, "events.jsonl")
     with open(path, "w", encoding="utf-8") as handle:
@@ -113,7 +108,7 @@ def write_run_telemetry(directory: str,
                           ("health.json", health),
                           ("profile.json", profile)):
         path = os.path.join(directory, name)
-        _dump_json(path, payload)
+        write_report_json(payload, path)
         paths.append(path)
     if trace_summaries or trace_spans:
         path = os.path.join(directory, "trace.jsonl")
@@ -122,8 +117,8 @@ def write_run_telemetry(directory: str,
             handle.write(ev.to_jsonl(trace_spans))
         paths.append(path)
     if dropped:
-        _dump_json(os.path.join(directory, "dropped.json"),
-                   {"dropped_events": dropped})
+        write_report_json({"dropped_events": dropped},
+                          os.path.join(directory, "dropped.json"))
     return paths
 
 

@@ -38,8 +38,16 @@ also invisible to the cycle collector, unlike 50k tracked dicts).
 
 from __future__ import annotations
 
-import json
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.schema import (
+    NUM,
+    Schema,
+    check_jsonl,
+    check_record,
+    check_records,
+)
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -79,16 +87,14 @@ MAX_TRACES = 100_000
 #: when completeness matters more than speed.
 TRACE_SAMPLE_EVERY = 32
 
-_NUM = (int, float)
-
 #: Fields shared by every span record.
 _SPAN_COMMON: Dict[str, tuple] = {
     "trace": (int,),
     "span": (int,),
     "parent": (int, type(None)),
     "name": (str,),
-    "t0": _NUM,
-    "t1": _NUM,
+    "t0": NUM,
+    "t1": NUM,
     "device": (str,),
 }
 
@@ -104,11 +110,11 @@ def _span_schema(required: Dict[str, tuple],
     return (full_required, full_optional)
 
 
-# name -> (required fields, optional fields); values are type tuples.
-# Strict both ways, exactly like repro.obs.schema.EVENT_SCHEMA: a
-# missing/mistyped required field is an error and so is any field the
-# schema does not document.
-TRACE_SCHEMA: Dict[str, Tuple[Dict[str, tuple], Dict[str, tuple]]] = {
+# name -> (required fields, optional fields), checked strictly both
+# ways by the shared validator of repro.obs.schema: a missing/mistyped
+# required field is an error and so is any field the schema does not
+# document.
+TRACE_SCHEMA: Schema = {
     SENSE: _span_schema({"data_type": (str,), "status": (str,)},
                         {"zone": (int,)}),
     MAC: _span_schema({"outcome": (str,), "attempts": (int,),
@@ -116,7 +122,7 @@ TRACE_SCHEMA: Dict[str, Tuple[Dict[str, tuple], Dict[str, tuple]]] = {
     MAC_ATTEMPT: _span_schema({"attempt": (int,), "result": (str,)}),
     AIR: _span_schema({"collided": (int,), "receivers": (int,)}),
     INGEST: _span_schema({}),
-    ACTUATE: _span_schema({"age_s": _NUM, "tier": (int,),
+    ACTUATE: _span_schema({"age_s": NUM, "tier": (int,),
                            "conservative": (int,)}, {"zone": (int,)}),
     TRACE_SUMMARY: (
         {"name": (str,), "schema_version": (int,), "traces": (int,),
@@ -474,65 +480,12 @@ def summary_record(summary: Dict[str, object],
 
 
 # ----------------------------------------------------------------------
-# Validation (strict both ways, mirroring repro.obs.schema)
+# Validation: the shared strict-record check of repro.obs.schema
 # ----------------------------------------------------------------------
-def validate_span(record: Dict[str, object]) -> List[str]:
-    """Problems with one trace record; empty when valid."""
-    from repro.obs.schema import _type_names, _typecheck
-
-    name = record.get("name")
-    if not isinstance(name, str) or name not in TRACE_SCHEMA:
-        return [f"unknown span name {name!r}"]
-    required, optional = TRACE_SCHEMA[name]
-    problems: List[str] = []
-    for field, types in required.items():
-        if field not in record:
-            problems.append(f"{name}: missing required field {field!r}")
-        elif not _typecheck(record[field], types):
-            problems.append(
-                f"{name}: field {field!r} has type "
-                f"{type(record[field]).__name__}, expected "
-                f"{_type_names(types)}")
-    for field, value in record.items():
-        if field in required:
-            continue
-        if field not in optional:
-            problems.append(f"{name}: undocumented field {field!r}")
-        elif not _typecheck(value, optional[field]):
-            problems.append(
-                f"{name}: field {field!r} has type "
-                f"{type(value).__name__}, expected "
-                f"{_type_names(optional[field])}")
-    return problems
-
-
-def validate_trace_records(records: Iterable[Dict[str, object]]
-                           ) -> List[str]:
-    """All problems across ``records``, prefixed with record indices."""
-    problems: List[str] = []
-    for i, record in enumerate(records):
-        problems.extend(f"record {i}: {problem}"
-                        for problem in validate_span(record))
-    return problems
-
-
-def validate_trace_jsonl(text: str) -> List[str]:
-    """Validate trace JSONL text line by line."""
-    problems: List[str] = []
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {i + 1}: not valid JSON ({exc.msg})")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"line {i + 1}: not a JSON object")
-            continue
-        problems.extend(f"line {i + 1}: {problem}"
-                        for problem in validate_span(record))
-    return problems
+validate_span = partial(check_record, schema=TRACE_SCHEMA, tag="name")
+validate_trace_records = partial(check_records, schema=TRACE_SCHEMA,
+                                 tag="name")
+validate_trace_jsonl = partial(check_jsonl, schema=TRACE_SCHEMA, tag="name")
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,7 @@ the scenario layer landed, the *what to run* lives in a
 weather, workload script, faults, horizon) and RunSpec is the thin
 execution wrapper that adds what only the executor cares about: the
 display label, the test-only failure-injection hook and the telemetry
-switch.  The legacy keyword surface (``config=``, ``faults=``,
-``script=``, ``run_minutes=``, ``warmup_minutes=``) still works and
-simply builds the scenario inline.
+switch.
 
 The worker returns only a compact :class:`RunResult` — outcome,
 discrete hash, physics state digest, paper metrics, timing — never a
@@ -27,17 +25,15 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace as _dc_replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.analysis.degradation import RunOutcome, summarize_run
 from repro.analysis.fingerprint import discrete_log_hash, state_digest
-from repro.core.config import BubbleZeroConfig
 from repro.scenarios.spec import ScenarioSpec, prepare_run
-from repro.workloads.faults import Fault
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RunSpec:
     """One independent seeded run, picklable under the spawn method."""
 
@@ -57,62 +53,6 @@ class RunSpec:
     # ``telemetry``.  Off by default — spans are opt-in per
     # invocation (--trace).
     trace: bool = False
-
-    def __init__(self, label: str,
-                 scenario: Optional[ScenarioSpec] = None, *,
-                 config: Optional[BubbleZeroConfig] = None,
-                 faults: Tuple[Fault, ...] = (),
-                 script: Optional[str] = None,
-                 run_minutes: Optional[float] = None,
-                 warmup_minutes: Optional[float] = None,
-                 inject: Optional[str] = None,
-                 telemetry: bool = False,
-                 trace: bool = False) -> None:
-        if scenario is None:
-            if config is None:
-                raise TypeError("RunSpec needs a scenario or a config")
-            scenario = ScenarioSpec(
-                name=label, config=config, faults=tuple(faults),
-                script="none" if script is None else script,
-                run_minutes=45.0 if run_minutes is None else run_minutes,
-                warmup_minutes=(0.0 if warmup_minutes is None
-                                else warmup_minutes))
-        else:
-            overrides = {
-                key: value for key, value in (
-                    ("config", config), ("script", script),
-                    ("run_minutes", run_minutes),
-                    ("warmup_minutes", warmup_minutes)) if value is not None}
-            if faults:
-                overrides["faults"] = tuple(faults)
-            if overrides:
-                scenario = _dc_replace(scenario, **overrides)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "inject", inject)
-        object.__setattr__(self, "telemetry", telemetry)
-        object.__setattr__(self, "trace", trace)
-
-    # Delegates kept for the wide pre-scenario call surface.
-    @property
-    def config(self) -> BubbleZeroConfig:
-        return self.scenario.config
-
-    @property
-    def faults(self) -> Tuple[Fault, ...]:
-        return self.scenario.faults
-
-    @property
-    def script(self) -> str:
-        return self.scenario.script
-
-    @property
-    def run_minutes(self) -> float:
-        return self.scenario.run_minutes
-
-    @property
-    def warmup_minutes(self) -> float:
-        return self.scenario.warmup_minutes
 
 
 @dataclass(frozen=True)
@@ -204,13 +144,14 @@ def execute_spec(spec: RunSpec, attempt: int = 0) -> RunResult:
     if spec.telemetry or spec.trace:
         from repro.obs import create_observability
         obs = create_observability(trace=spec.trace)
+    scenario = spec.scenario
     t0 = time.perf_counter()
-    system, clearance = prepare_run(spec.scenario, obs=obs)
+    system, clearance = prepare_run(scenario, obs=obs)
     system.start()
-    system.run(minutes=spec.run_minutes)
+    system.run(minutes=scenario.run_minutes)
     system.finalize()
     outcome = summarize_run(system, spec.label, clearance_time=clearance,
-                            warmup_s=spec.warmup_minutes * 60.0)
+                            warmup_s=scenario.warmup_minutes * 60.0)
     obs_data = None
     if obs is not None:
         from repro.obs.collect import obs_payload
@@ -222,7 +163,7 @@ def execute_spec(spec: RunSpec, attempt: int = 0) -> RunResult:
         state_digest=state_digest(system),
         metrics=paper_metrics(system, outcome),
         wall_s=time.perf_counter() - t0,
-        sim_s=spec.run_minutes * 60.0,
+        sim_s=scenario.run_minutes * 60.0,
         events=system.sim.events_dispatched,
         clearance_time=clearance,
         obs=obs_data,

@@ -10,9 +10,7 @@ dataclass paid a Python ``__lt__`` call per sift step, which dominated
 the dispatch cost of network-heavy runs.
 
 The simulator supports cancellation (lazy deletion with periodic heap
-compaction), bounded runs (``run_until``), step-wise execution for
-tests, and hooks that fire on every dispatched event for
-instrumentation.
+compaction) and bounded runs (``run_until``).
 """
 
 from __future__ import annotations
@@ -138,8 +136,8 @@ class EventQueue:
         """Remove and return the earliest non-cancelled event, or None.
 
         Fire-and-forget entries are materialised into an :class:`Event`
-        on the way out (this path serves ``step()`` and tests, not the
-        batched ``run_until`` loop).
+        on the way out (this path serves tests, not the batched
+        ``run_until`` loop).
         """
         heap = self._heap
         while heap:
@@ -220,7 +218,6 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self.trace = TraceRecorder()
         self.obs = obs if obs is not None else NULL_OBS
-        self._dispatch_hooks: List[Callable[[Event], None]] = []
         self._stopped = False
         self._events_dispatched = 0
 
@@ -276,28 +273,12 @@ class Simulator:
             raise SimulationError(f"negative delay {delay} for event {name!r}")
         self.post_at(self.clock.now + delay, callback, priority, name)
 
-    def add_dispatch_hook(self, hook: Callable[[Event], None]) -> None:
-        """Register a hook invoked after each dispatched event."""
-        self._dispatch_hooks.append(hook)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def stop(self) -> None:
         """Request the current run loop to halt after the running event."""
         self._stopped = True
-
-    def step(self) -> bool:
-        """Dispatch a single event.  Returns False when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        self.clock.advance_to(event.time)
-        event.callback()
-        self._events_dispatched += 1
-        for hook in self._dispatch_hooks:
-            hook(event)
-        return True
 
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events up to and including ``end_time``.
@@ -322,7 +303,6 @@ class Simulator:
         queue = self.queue
         heap = queue._heap
         clock = self.clock
-        hooks = self._dispatch_hooks
         heappop = heapq.heappop
         # ``inf`` sentinel keeps the per-event limit check to a single
         # comparison in the (overwhelmingly common) unlimited case.
@@ -359,12 +339,6 @@ class Simulator:
                     queue._live -= 1
                     entry[3]()
                     dispatched += 1
-                    if hooks:
-                        if event is None:
-                            event = Event(entry[0], entry[1], entry[2],
-                                          entry[3], entry[4])
-                        for hook in hooks:
-                            hook(event)
                     if self._stopped or dispatched >= limit:
                         break
                     while heap:
@@ -392,15 +366,13 @@ class Simulator:
         names per event costs several percent on network-heavy runs).
         The skip countdown lives in a local for speed and is persisted
         back to the profiler in the ``finally`` so sampling stays
-        uniform across successive ``run_until`` calls.  (``step()`` is
-        never profiled; it exists for tests, not for measured runs.)
+        uniform across successive ``run_until`` calls.
         """
         dispatched = 0
         self._stopped = False
         queue = self.queue
         heap = queue._heap
         clock = self.clock
-        hooks = self._dispatch_hooks
         heappop = heapq.heappop
         perf = time.perf_counter
         profiler = self.obs.profiler
@@ -439,12 +411,6 @@ class Simulator:
                         entry[3]()
                         record(entry[4], perf() - t0)
                     dispatched += 1
-                    if hooks:
-                        if event is None:
-                            event = Event(entry[0], entry[1], entry[2],
-                                          entry[3], entry[4])
-                        for hook in hooks:
-                            hook(event)
                     if self._stopped or dispatched >= limit:
                         break
                     while heap:

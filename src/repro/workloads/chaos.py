@@ -613,7 +613,5 @@ def run_chaos(config: ChaosConfig,
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(jsonl_path, "w", encoding="utf-8") as handle:
-            for row in result.jsonl_rows():
-                handle.write(to_jsonl([row]))
-                handle.flush()
+            handle.write(to_jsonl(result.jsonl_rows()))
     return result

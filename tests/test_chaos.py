@@ -51,10 +51,10 @@ def test_specs_share_schedule_per_seed_and_vary_controller():
     adaptive, fixed = specs
     assert adaptive.scenario.faults == fixed.scenario.faults
     assert adaptive.scenario.faults, "quick hazard produced no faults"
-    assert adaptive.config.network.bt_mode == "adaptive"
-    assert fixed.config.network.bt_mode == "fixed"
+    assert adaptive.scenario.config.network.bt_mode == "adaptive"
+    assert fixed.scenario.config.network.bt_mode == "fixed"
     assert all(spec.telemetry for spec in specs)
-    assert all(spec.config.seed == 1 for spec in specs)
+    assert all(spec.scenario.config.seed == 1 for spec in specs)
 
 
 def test_specs_differ_between_seeds():

@@ -41,6 +41,7 @@ from repro.obs.status import (
 )
 from repro.runtime.pool import run_specs
 from repro.runtime.spec import RunSpec
+from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.campaign import (
     CampaignCell,
     CampaignConfig,
@@ -217,8 +218,10 @@ class TestCampaignTelemetry:
 class TestPoolTee:
     def test_worker_lifecycle_events(self):
         specs = [RunSpec(label=f"seed-{seed}",
-                         config=BubbleZeroConfig(seed=seed),
-                         run_minutes=2.0, warmup_minutes=1.0)
+                         scenario=ScenarioSpec(
+                             name=f"seed-{seed}",
+                             config=BubbleZeroConfig(seed=seed),
+                             run_minutes=2.0, warmup_minutes=1.0))
                  for seed in (1, 2)]
         log = EventLog(enabled=True)
         payloads = run_specs(specs, workers=1, obs_events=log)

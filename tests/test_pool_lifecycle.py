@@ -13,11 +13,13 @@ import pytest
 from repro.core.config import BubbleZeroConfig
 from repro.runtime import RunSpec, pool
 from repro.runtime.progress import FINISHED, RETRIED
+from repro.scenarios.spec import ScenarioSpec
 
 
 def tiny_spec(label, seed=3, inject=None):
-    return RunSpec(label=label, config=BubbleZeroConfig(seed=seed),
-                   run_minutes=1.0, inject=inject)
+    return RunSpec(label=label, scenario=ScenarioSpec(
+        name=label, config=BubbleZeroConfig(seed=seed), run_minutes=1.0),
+        inject=inject)
 
 
 @pytest.fixture

@@ -33,11 +33,13 @@ from repro.runtime.progress import (
     emit,
     first_starts,
 )
+from repro.scenarios.spec import ScenarioSpec
 
 
 def tiny_spec(label="run", seed=3, inject=None, run_minutes=1.0):
-    return RunSpec(label=label, config=BubbleZeroConfig(seed=seed),
-                   run_minutes=run_minutes, inject=inject)
+    return RunSpec(label=label, scenario=ScenarioSpec(
+        name=label, config=BubbleZeroConfig(seed=seed),
+        run_minutes=run_minutes), inject=inject)
 
 
 class TestRunSpec:
@@ -45,19 +47,21 @@ class TestRunSpec:
         spec = tiny_spec("pickled", seed=11)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        assert clone.config.seed == 11
+        assert clone.scenario.config.seed == 11
 
     def test_rejects_unknown_script(self):
         with pytest.raises(ValueError, match="unknown workload script"):
-            tiny_spec().__class__(label="x", config=BubbleZeroConfig(),
-                                  script="nope")
+            RunSpec(label="x", scenario=ScenarioSpec(
+                name="x", config=BubbleZeroConfig(), script="nope"))
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
-            RunSpec(label="x", config=BubbleZeroConfig(), run_minutes=0.0)
+            RunSpec(label="x", scenario=ScenarioSpec(
+                name="x", config=BubbleZeroConfig(), run_minutes=0.0))
         with pytest.raises(ValueError):
-            RunSpec(label="x", config=BubbleZeroConfig(), run_minutes=5.0,
-                    warmup_minutes=5.0)
+            RunSpec(label="x", scenario=ScenarioSpec(
+                name="x", config=BubbleZeroConfig(), run_minutes=5.0,
+                warmup_minutes=5.0))
 
 
 class TestExecuteSpec:

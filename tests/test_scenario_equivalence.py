@@ -85,8 +85,8 @@ def test_campaign_cell_named_script_matches_inline():
     inline faults and executes to the same discrete hash."""
     config = BubbleZeroConfig(seed=7)
     faults = tuple(get_fault_script("quick/crash-room-temp").faults)
-    inline = RunSpec(label="cell", config=config, faults=faults,
-                     run_minutes=5.0)
+    inline = RunSpec(label="cell", scenario=ScenarioSpec(
+        name="cell", config=config, faults=faults, run_minutes=5.0))
     named = RunSpec(label="cell", scenario=ScenarioSpec(
         name="cell", config=config,
         fault_script="quick/crash-room-temp", run_minutes=5.0))

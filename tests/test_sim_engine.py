@@ -136,16 +136,6 @@ class TestSimulator:
         dispatched = sim.run_until(100.0, max_events=4)
         assert dispatched == 4
 
-    def test_dispatch_hook_called(self, sim):
-        seen = []
-        sim.add_dispatch_hook(lambda event: seen.append(event.time))
-        sim.schedule_at(2.0, lambda: None)
-        sim.run(5.0)
-        assert seen == [2.0]
-
-    def test_step_returns_false_on_empty(self, sim):
-        assert sim.step() is False
-
     def test_stats(self, sim):
         sim.schedule_at(1.0, lambda: None)
         sim.run(2.0)

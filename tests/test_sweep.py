@@ -37,15 +37,15 @@ class TestSpecs:
     def test_one_spec_per_seed_in_order(self):
         specs = sweep_specs(mini_sweep(seeds=(5, 3, 9)))
         assert [s.label for s in specs] == ["seed-5", "seed-3", "seed-9"]
-        assert [s.config.seed for s in specs] == [5, 3, 9]
+        assert [s.scenario.config.seed for s in specs] == [5, 3, 9]
 
     def test_direct_and_fixed_tx_shape_network(self):
         direct = sweep_specs(dataclasses.replace(mini_sweep(),
                                                  direct=True))[0]
-        assert not direct.config.network.enabled
+        assert not direct.scenario.config.network.enabled
         fixed = sweep_specs(dataclasses.replace(mini_sweep(),
                                                 fixed_tx=True))[0]
-        assert fixed.config.network.bt_mode == "fixed"
+        assert fixed.scenario.config.network.bt_mode == "fixed"
 
 
 class TestAggregates:

@@ -53,6 +53,7 @@ from repro.obs.trace import (
 )
 from repro.runtime.pool import run_specs
 from repro.runtime.spec import RunSpec
+from repro.scenarios.spec import ScenarioSpec
 
 from .golden_trials import GOLDEN_DIR, run_golden_trial
 
@@ -109,8 +110,10 @@ class TestTraceEquivalence:
 class TestTraceByteIdentity:
     def test_trace_jsonl_identical_serial_vs_pooled(self, tmp_path):
         specs = [RunSpec(label=f"seed-{seed}",
-                         config=BubbleZeroConfig(seed=seed),
-                         run_minutes=2.0, warmup_minutes=0.0,
+                         scenario=ScenarioSpec(
+                             name=f"seed-{seed}",
+                             config=BubbleZeroConfig(seed=seed),
+                             run_minutes=2.0, warmup_minutes=0.0),
                          trace=True)
                  for seed in (1, 2)]
         texts = []
