@@ -111,8 +111,6 @@ class Supervisor:
                         CONSERVATIVE_EXTRA_MARGIN_K)
                 if self.obs is not None and self.obs.enabled:
                     self.obs.events.emit(CONSERVATIVE_LATCHED, now)
-                    self.obs.metrics.counter(
-                        "control.conservative_latches").inc()
             return
         if not self.conservative_mode:
             return

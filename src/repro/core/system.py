@@ -96,6 +96,8 @@ class BubbleZero:
         self.medium: Optional[BroadcastMedium] = None
         self.sniffer: Optional[Sniffer] = None
         self._direct_loop: Optional[PeriodicTask] = None
+        # Faults a FaultScript has fired so far (repro.workloads.faults).
+        self.faults_injected = 0
         if self.config.network.enabled:
             self._build_network_stack()
         else:

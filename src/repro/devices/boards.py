@@ -82,6 +82,7 @@ class Board:
         self.degraded_estimates = 0
         self.fallback_estimates = 0
         self.max_staleness_s = 0.0
+        self.tier_transitions = 0
         self._last_good: Dict[Tuple[DataType, Tuple[Any, ...]],
                               Tuple[float, float]] = {}
         # Current fallback tier per estimate (1 fresh / 2 widened /
@@ -196,6 +197,7 @@ class Board:
         if tier == prev:
             return
         self._estimate_tier[cache_key] = tier
+        self.tier_transitions += 1
         obs = self.sim.obs
         if obs.enabled:
             label = self._estimate_labels.get(cache_key)
@@ -205,10 +207,6 @@ class Board:
             obs.events.emit(TIER_TRANSITION, self.sim.now,
                             board=self.device_id, estimate=label,
                             tier=tier, prev_tier=prev)
-            obs.metrics.counter("control.tier_transitions").inc()
-            obs.metrics.gauge(
-                f"control.board.{self.device_id}.fallback_tier").set(
-                    self.current_tier)
 
     @staticmethod
     def _estimate_label(data_type: DataType, keys: List[Any]) -> str:

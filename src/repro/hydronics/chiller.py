@@ -9,11 +9,22 @@ pumping.  The eta_II values are calibrated per DESIGN.md §4 so that the
 paper's measured operating points land on the paper's measured COPs; the
 *ordering* of the machines is pure thermodynamics and holds for any
 fraction.
+
+Cold weather has a defined low-lift regime: the lift (reject minus
+cold setpoint) is floored at :data:`MIN_LIFT_K`, so a reject
+temperature at or below the setpoint gives a finite, bounded COP
+instead of a Carnot singularity.  No committed weather reaches it.
 """
 
 from __future__ import annotations
 
 from repro.physics.exergy import carnot_cop_celsius
+
+#: Smallest lift the chiller model uses, in K.  A real machine keeps a
+#: minimum condensing pressure; without a floor, Carnot's COP diverges
+#: as the reject temperature nears the cold setpoint and is undefined
+#: past it.
+MIN_LIFT_K = 5.0
 
 
 class CarnotFractionChiller:
@@ -38,7 +49,9 @@ class CarnotFractionChiller:
     def cop_at(self, reject_temp_c: float) -> float:
         """Thermodynamic COP (before parasitics) when rejecting heat at
         ``reject_temp_c`` — typically the outdoor temperature plus a
-        condenser approach."""
+        condenser approach.  The lift is floored at :data:`MIN_LIFT_K`."""
+        reject_temp_c = max(reject_temp_c,
+                            self.cold_setpoint_c + MIN_LIFT_K)
         ideal = carnot_cop_celsius(self.cold_setpoint_c, reject_temp_c)
         return self.second_law_fraction * ideal
 

@@ -195,6 +195,7 @@ class BroadcastMedium:
         self._burst_frames = 0
         self._burst_start = 0.0
         self._burst_end = 0.0
+        self.collision_bursts = 0
 
     # ------------------------------------------------------------------
     def attach_receiver(self, device_id: str,
@@ -357,7 +358,7 @@ class BroadcastMedium:
                                   frames=self._burst_frames,
                                   start=self._burst_start,
                                   end=self._burst_end)
-            self._obs.metrics.counter("net.collision_bursts").inc()
+            self.collision_bursts += 1
         self._burst_frames = 0
 
     def flush_collision_burst(self) -> None:

@@ -1,14 +1,16 @@
-"""Observability: metrics, structured events, sim-time profiling.
+"""Observability: structured events, end-of-run snapshots, profiling.
 
 The paper's evaluation is entirely observational — TelosB sniffer
 logs, flash-logged time series, send-period traces.  This package is
-the corresponding monitoring plane for the reproduction: a metrics
-registry with hierarchical names (:mod:`repro.obs.metrics`), a typed
+the corresponding monitoring plane for the reproduction: a typed
 sim-timestamped event log (:mod:`repro.obs.events` /
 :mod:`repro.obs.schema`), a sim-time profiler hooked into the
-dispatcher (:mod:`repro.obs.profiler`), self-describing run manifests
-(:mod:`repro.obs.manifest`), and the collection/rendering layer behind
-``repro status`` (:mod:`repro.obs.collect`, :mod:`repro.obs.status`).
+dispatcher (:mod:`repro.obs.profiler`), causal traces
+(:mod:`repro.obs.trace`), self-describing run manifests
+(:mod:`repro.obs.manifest`), and the layer behind ``repro status``:
+:mod:`repro.obs.collect` reads each run's own passive counters into
+its ``metrics.json`` and ``health.json`` entries when the run ends,
+and :mod:`repro.obs.status` writes, loads and renders them.
 
 The cardinal rule of every piece: **observation must not perturb the
 run**.  Nothing here draws from an RNG stream, schedules a simulator
@@ -24,14 +26,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SimTimeProfiler
 from repro.obs.trace import NULL_TRACE, TRACE_SAMPLE_EVERY, TraceCollector
 
 
 class Observability:
-    """One run's observability context: registry + events + profiler +
-    causal traces.
+    """One run's observability context: events + profiler + causal
+    traces.
 
     ``enabled`` gates the inline instrumentation sites (fault hooks,
     tier transitions, conservative-mode latch, collision bursts);
@@ -42,14 +43,12 @@ class Observability:
     hot paths reduce to one attribute test.
     """
 
-    __slots__ = ("enabled", "metrics", "events", "profiler", "trace")
+    __slots__ = ("enabled", "events", "profiler", "trace")
 
-    def __init__(self, enabled: bool, metrics: MetricsRegistry,
-                 events: EventLog,
+    def __init__(self, enabled: bool, events: EventLog,
                  profiler: Optional[SimTimeProfiler] = None,
                  trace: Optional[TraceCollector] = None) -> None:
         self.enabled = enabled
-        self.metrics = metrics
         self.events = events
         self.profiler = profiler
         self.trace = NULL_TRACE if trace is None else trace
@@ -79,16 +78,14 @@ def create_observability(profile: bool = True,
             enabled=True,
             sample_every=(TRACE_SAMPLE_EVERY if trace_sample is None
                           else trace_sample))
-    return Observability(True, MetricsRegistry(enabled=True),
-                         EventLog(enabled=True), profiler, collector)
+    return Observability(True, EventLog(enabled=True), profiler, collector)
 
 
 #: Shared disabled context — the default of every ``Simulator``.  All
 #: of its methods are no-ops, so instrumented code never needs a None
 #: check, and because it is a module-level singleton the disabled path
 #: allocates nothing per run.
-NULL_OBS = Observability(False, MetricsRegistry(enabled=False),
-                         EventLog(enabled=False), None)
+NULL_OBS = Observability(False, EventLog(enabled=False), None)
 
 __all__ = [
     "Observability",
@@ -96,7 +93,6 @@ __all__ = [
     "NULL_TRACE",
     "create_observability",
     "EventLog",
-    "MetricsRegistry",
     "SimTimeProfiler",
     "TraceCollector",
 ]

@@ -1,137 +1,128 @@
-"""Snapshot a running system's passive counters into the registry.
+"""One run's ``metrics.json`` and ``health.json``, read at end of run.
 
-The hot subsystems (MAC, medium, type bus, tanks, psychrometric cache)
+The hot subsystems (MAC, medium, type bus, boards, supervisor, tanks)
 already keep passive counters for their own reports; observability
-reads them *at collection time* instead of instrumenting the hot paths
-with per-event registry updates.  That keeps the observed run
-bit-identical to a blind one and the steady-state overhead at zero —
-the only inline emissions in the tree are rare, discrete transitions
-(faults, tier changes, the conservative latch, collision bursts).
+reads them once, when the run ends, instead of instrumenting the hot
+paths.  That keeps the observed run bit-identical to a blind one and
+the steady-state overhead at zero.  Both snapshots hold only the run's
+own state: the process-wide psychrometric and spectral caches are left
+out, because their counts depend on whatever else the worker process
+ran, and so the files are byte-identical for any ``--workers`` count.
 
-:func:`collect_system_metrics` fills the metric registry;
-:func:`health_snapshot` builds the liveness view behind
-``repro status`` (per-node last-send ages, per-board fallback tiers,
-queue depths, cache hit rates).
+:func:`system_metrics` builds the flat ``metrics.json`` dict (dotted
+names such as ``net.mac.retransmits``; the two distributions come from
+:func:`histogram`); :func:`health_snapshot` builds the liveness view
+behind ``repro status`` (per-node last-send ages, per-board fallback
+tiers, queue depths, tank ledgers).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from repro.obs.metrics import MetricsRegistry
+from bisect import bisect_left
+from typing import Dict, Iterable, Optional, Sequence
 
 # Queue depths are small integers; send periods reach 32 * T_spl.
 QUEUE_EDGES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 TSND_EDGES = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
-def _motes(system) -> List[object]:
-    return ([node.mote for node in system.bt_nodes]
-            + [board.mote for board in system.boards])
+def histogram(values: Iterable[float],
+              edges: Sequence[float]) -> Dict[str, object]:
+    """Bucket counts of ``values`` plus count/sum/min/max, as a dict.
 
-
-def collect_system_metrics(system, registry: MetricsRegistry) -> None:
-    """Fill ``registry`` from the system's existing passive counters.
-
-    Idempotent for gauges; the histograms are populated once per call,
-    so collect at most once per run (``execute_spec`` and the bench do
-    exactly that, at end of run).
+    ``edges`` are the upper bounds of the finite buckets; one overflow
+    bucket catches everything beyond the last edge.
     """
-    if not registry.enabled:
-        return
+    observed = [float(value) for value in values]
+    counts = [0] * (len(edges) + 1)
+    total = 0.0
+    for value in observed:
+        counts[bisect_left(edges, value)] += 1
+        total += value
+    return {
+        "edges": [float(edge) for edge in edges],
+        "bucket_counts": counts,
+        "count": len(observed),
+        "sum": total,
+        "min": min(observed, default=None),
+        "max": max(observed, default=None),
+    }
+
+
+def system_metrics(system) -> Dict[str, object]:
+    """The run's ``metrics.json`` entry, from its passive counters.
+
+    A count of rare transitions (collision bursts, fault injections,
+    conservative latches, tier transitions) appears only once it is
+    non-zero.
+    """
     sim = system.sim
-    registry.gauge("engine.events_dispatched").set(sim.events_dispatched)
-    registry.gauge("engine.pending_events").set(len(sim.queue))
-    registry.gauge("engine.heap_size").set(sim.queue.heap_size)
+    metrics: Dict[str, object] = {
+        "engine.events_dispatched": sim.events_dispatched,
+        "engine.pending_events": len(sim.queue),
+        "engine.heap_size": sim.queue.heap_size,
+    }
 
-    if system.medium is not None:
-        stats = system.medium.stats()
-        registry.gauge("net.medium.transmissions").set(
-            stats["transmissions"])
-        registry.gauge("net.medium.collisions").set(stats["collisions"])
-        registry.gauge("net.medium.collision_rate").set(
-            stats["collision_rate"])
+    medium = system.medium
+    if medium is not None:
+        stats = medium.stats()
+        metrics["net.medium.transmissions"] = stats["transmissions"]
+        metrics["net.medium.collisions"] = stats["collisions"]
+        metrics["net.medium.collision_rate"] = stats["collision_rate"]
+        if medium.collision_bursts:
+            metrics["net.collision_bursts"] = medium.collision_bursts
 
-        totals = {"enqueued": 0, "sent": 0, "dropped": 0, "backoffs": 0,
-                  "cca_failures": 0}
-        depth_hist = registry.histogram("net.mac.queue_depth_max",
-                                        edges=QUEUE_EDGES)
-        received = 0
-        filtered = 0
-        for mote in _motes(system):
-            mac_stats = mote.mac.stats
-            totals["enqueued"] += mac_stats.enqueued
-            totals["sent"] += mac_stats.sent
-            totals["dropped"] += mac_stats.dropped
-            totals["backoffs"] += mac_stats.backoffs
-            totals["cca_failures"] += mac_stats.cca_failures
-            depth_hist.observe(mac_stats.max_queue_depth)
-            received += mote.bus.packets_received
-            filtered += mote.bus.packets_filtered
-        for name, value in totals.items():
-            registry.gauge(f"net.mac.{name}").set(value)
+        motes = ([node.mote for node in system.bt_nodes]
+                 + [board.mote for board in system.boards])
+        macs = [mote.mac.stats for mote in motes]
+        for name in ("enqueued", "sent", "dropped", "backoffs",
+                     "cca_failures"):
+            metrics[f"net.mac.{name}"] = sum(getattr(mac, name)
+                                             for mac in macs)
         # "Retransmits" in CSMA/CA broadcast terms: channel-access
         # attempts beyond the first (backoff retries after a busy CCA).
-        registry.gauge("net.mac.retransmits").set(totals["backoffs"])
-        registry.gauge("net.bus.packets_received").set(received)
-        registry.gauge("net.bus.packets_filtered").set(filtered)
+        metrics["net.mac.retransmits"] = metrics["net.mac.backoffs"]
+        metrics["net.mac.queue_depth_max"] = histogram(
+            (mac.max_queue_depth for mac in macs), QUEUE_EDGES)
+        metrics["net.bus.packets_received"] = sum(
+            mote.bus.packets_received for mote in motes)
+        metrics["net.bus.packets_filtered"] = sum(
+            mote.bus.packets_filtered for mote in motes)
 
         transmitters = system.adaptive_transmitters()
         if transmitters:
-            tsnd_hist = registry.histogram("net.tsnd_s", edges=TSND_EDGES)
-            for transmitter in transmitters:
-                tsnd_hist.observe(transmitter.send_period_s)
-            registry.gauge("net.adaptive.period_changes").set(
-                sum(len(t.period_changes) for t in transmitters))
-            registry.gauge("net.adaptive.decisions").set(
-                sum(len(t.decisions) for t in transmitters))
+            metrics["net.tsnd_s"] = histogram(
+                (t.send_period_s for t in transmitters), TSND_EDGES)
+            metrics["net.adaptive.period_changes"] = sum(
+                len(t.period_changes) for t in transmitters)
+            metrics["net.adaptive.decisions"] = sum(
+                len(t.decisions) for t in transmitters)
 
+    status = system.degradation_status()
     for board in system.boards:
-        registry.gauge(
-            f"control.board.{board.device_id}.fallback_tier").set(
-                board.current_tier)
-    registry.gauge("control.degraded_estimates").set(
-        sum(board.degraded_estimates for board in system.boards))
-    registry.gauge("control.fallback_estimates").set(
-        sum(board.fallback_estimates for board in system.boards))
-    registry.gauge("control.max_staleness_s").set(
-        max((board.max_staleness_s for board in system.boards),
-            default=0.0))
-    supervisor = system.supervisor
-    registry.gauge("control.conservative_mode").set(
-        1.0 if supervisor.conservative_mode else 0.0)
-    registry.gauge("control.conservative_entries").set(
-        supervisor.conservative_entries)
-    registry.gauge("control.conservative_mode_s").set(
-        supervisor.conservative_seconds(sim.now))
+        metrics[f"control.board.{board.device_id}.fallback_tier"] = (
+            board.current_tier)
+    transitions = sum(board.tier_transitions for board in system.boards)
+    if transitions:
+        metrics["control.tier_transitions"] = transitions
+    for name in ("degraded_estimates", "fallback_estimates",
+                 "max_staleness_s", "conservative_entries",
+                 "conservative_mode_s"):
+        metrics[f"control.{name}"] = status[name]
+    metrics["control.conservative_mode"] = (
+        1.0 if status["conservative_mode"] else 0.0)
+    if status["conservative_entries"]:
+        metrics["control.conservative_latches"] = (
+            status["conservative_entries"])
+    if system.faults_injected:
+        metrics["workload.faults_injected"] = system.faults_injected
 
     for tank in (system.plant.radiant_tank, system.plant.vent_tank):
         snap = tank.telemetry_snapshot()
         prefix = f"hydronics.tank.{tank.name}"
-        registry.gauge(f"{prefix}.temp_c").set(snap["temp_c"])
-        registry.gauge(f"{prefix}.energy_residual_j").set(
-            snap["energy_residual_j"])
-        registry.gauge(f"{prefix}.heat_returned_j").set(
-            snap["heat_returned_j"])
-
-    from repro.physics import psychrometrics
-    hits = 0
-    misses = 0
-    for relation, info in psychrometrics.cache_stats().items():
-        hits += info["hits"]
-        misses += info["misses"]
-        registry.gauge(f"physics.psychro.{relation}.hit_rate").set(
-            info["hit_rate"])
-    registry.gauge("physics.psychro.hits").set(hits)
-    registry.gauge("physics.psychro.misses").set(misses)
-
-    from repro.physics import spectral
-    stats = spectral.cache_stats()
-    registry.gauge("physics.spectral.hits").set(stats["hits"])
-    registry.gauge("physics.spectral.misses").set(stats["misses"])
-    registry.gauge("physics.spectral.evictions").set(stats["evictions"])
-    registry.gauge("physics.spectral.entries").set(stats["entries"])
-    registry.gauge("physics.spectral.hit_rate").set(stats["hit_rate"])
+        for name in ("temp_c", "energy_residual_j", "heat_returned_j"):
+            metrics[f"{prefix}.{name}"] = snap[name]
+    return metrics
 
 
 def health_snapshot(system) -> Dict[str, object]:
@@ -173,26 +164,17 @@ def health_snapshot(system) -> Dict[str, object]:
         tank.name: tank.telemetry_snapshot()
         for tank in (system.plant.radiant_tank, system.plant.vent_tank)
     }
-    from repro.physics import psychrometrics, spectral
-    psychro = {relation: info["hit_rate"]
-               for relation, info in psychrometrics.cache_stats().items()}
+    config = system.config
     room = system.plant.room
     gaps = room.macro_gaps
-    spectral_stats = spectral.cache_stats()
     physics = {
-        "vector": getattr(system.plant, "_vector_kernel", None) is not None,
-        "macro_step": system.config.physics_macro_step,
-        "solver": getattr(room, "_solver", "dense"),
+        "vector": config.physics_vector,
+        "macro_step": config.physics_macro_step,
+        "solver": config.physics_solver,
         "zones": len(room.subspaces),
         "macro_gaps": gaps,
         "macro_fallbacks": room.macro_fallbacks,
         "fallback_rate": (room.macro_fallbacks / gaps) if gaps else 0.0,
-        # Process-wide spectral cache (shared by the scalar and SoA
-        # paths), not a per-room cache.
-        "spectral_hits": spectral_stats["hits"],
-        "spectral_misses": spectral_stats["misses"],
-        "spectral_evictions": spectral_stats["evictions"],
-        "spectral_entries": spectral_stats["entries"],
         "condensation_events": room.condensation_events,
     }
     supervisor = system.supervisor
@@ -207,7 +189,6 @@ def health_snapshot(system) -> Dict[str, object]:
             "conservative_entries": supervisor.conservative_entries,
             "conservative_mode_s": supervisor.conservative_seconds(now),
         },
-        "psychro_hit_rate": psychro,
         "engine": sim.stats(),
     }
 
@@ -224,11 +205,10 @@ def obs_payload(system, obs) -> Optional[Dict[str, object]]:
         return None
     if system.medium is not None:
         system.medium.flush_collision_burst()
-    collect_system_metrics(system, obs.metrics)
     payload = {
         "events": list(obs.events.records),
         "dropped_events": obs.events.dropped,
-        "metrics": obs.metrics.snapshot(),
+        "metrics": system_metrics(system),
         "health": health_snapshot(system),
         "profile": (obs.profiler.report()
                     if obs.profiler is not None else None),

@@ -1,6 +1,6 @@
 """Structured event log: typed, sim-timestamped records.
 
-Where the metrics registry answers "how many", the event log answers
+Where ``metrics.json`` answers "how many", the event log answers
 "what happened when": fault injections and clearances, fallback-ladder
 tier transitions, the supervisor's conservative-mode latch, MAC-layer
 collision bursts, and worker lifecycle transitions from the process

@@ -10,7 +10,7 @@ A telemetry directory is five files:
     follow, sorted ``(index, attempt, lifecycle)`` so the file is
     deterministic even though pool completion order is not.
 ``metrics.json``
-    Per-run metric registry snapshots.
+    Per-run end-of-run metrics (:func:`repro.obs.collect.system_metrics`).
 ``health.json``
     Per-run liveness snapshots (:func:`repro.obs.collect.health_snapshot`).
 ``profile.json``
@@ -216,9 +216,6 @@ def render_status(telemetry: Dict[str, object]) -> str:
             tanks = snap.get("tanks", {})
             residual = max((abs(t.get("energy_residual_j", 0.0))
                             for t in tanks.values()), default=0.0)
-            psychro = snap.get("psychro_hit_rate", {})
-            hit_rate = (sum(psychro.values()) / len(psychro)
-                        if psychro else 0.0)
             rows.append((
                 label,
                 f"{crashed}/{len(nodes)}",
@@ -227,12 +224,11 @@ def render_status(telemetry: Dict[str, object]) -> str:
                 _fmt(supervisor.get("conservative_mode", False)),
                 int(supervisor.get("conservative_entries", 0)),
                 _fmt(residual),
-                f"{hit_rate:.2f}",
             ))
         sections.append(render_table(
             "Run health",
             ["run", "crashed", "stuck", "max tier", "conservative",
-             "entries", "max |tank res| J", "psychro hit"],
+             "entries", "max |tank res| J"],
             rows))
 
     if len(health) == 1:
@@ -279,17 +275,12 @@ def render_status(telemetry: Dict[str, object]) -> str:
                 int(physics.get("macro_gaps", 0)),
                 int(physics.get("macro_fallbacks", 0)),
                 f"{float(physics.get('fallback_rate', 0.0)):.1%}",
-                int(physics.get("spectral_hits", 0)),
-                int(physics.get("spectral_misses", 0)),
-                int(physics.get("spectral_evictions", 0)),
-                int(physics.get("spectral_entries", 0)),
             ))
     if physics_rows:
         sections.append(render_table(
             "Physics core",
             ["run", "path", "solver", "zones", "macro", "gaps",
-             "fallbacks", "fallback rate", "spec hits", "spec misses",
-             "spec evict", "spec entries"],
+             "fallbacks", "fallback rate"],
             physics_rows))
 
     trace_records = telemetry.get("trace") or []

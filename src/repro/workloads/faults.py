@@ -211,17 +211,18 @@ class FaultScript:
 
 
 def _emit_fault(system, kind: str, device_id: str, **fields) -> None:
-    """Record a fault injection on the system's event log (if enabled).
+    """Count a fault injection and record it on the system's event log
+    (if enabled).
 
     Called from inside the already-scheduled fault callbacks, so it
     adds no simulator events and draws no randomness — observability
     must never perturb the run it observes.
     """
+    system.faults_injected += 1
     obs = system.sim.obs
     if obs.enabled:
         obs.events.emit(FAULT_INJECTED, system.sim.now, fault=kind,
                         device=device_id, **fields)
-        obs.metrics.counter("workload.faults_injected").inc()
 
 
 def _emit_clearance(system, kind: str, device_id: str) -> None:

@@ -6,9 +6,14 @@ must balance across interfaces; monotone drivers must have monotone
 effects.
 """
 
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import OutdoorConfig
+from repro.core.plant import CONDENSER_APPROACH_K
 from repro.hydronics.panel import RadiantPanel
 from repro.hydronics.water import WATER_CP, mass_flow
 from repro.physics.room import (
@@ -17,6 +22,8 @@ from repro.physics.room import (
     SubspaceInputs,
 )
 from repro.physics.weather import OutdoorState
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.spec import run_scenario
 
 
 def sealed_params():
@@ -227,3 +234,26 @@ class TestMonotonicity:
                 room.step(1.0, OUTDOOR, inputs)
             results.append(room.mean_humidity_ratio())
         assert results[1] < results[0]
+
+
+class TestLowLiftRegime:
+    """Outdoor air at or below the chilled-water setpoint minus the
+    condenser approach used to make Carnot's COP undefined and crash
+    the plant; the chiller's lift floor keeps every weather runnable."""
+
+    @pytest.mark.parametrize("temp_c,dew_point_c", [
+        (13.0, 8.0), (10.0, 5.0), (0.0, -5.0), (-10.0, -15.0),
+        (45.0, 30.0)])
+    def test_paper_va_runs_and_tanks_close(self, temp_c, dew_point_c):
+        base = get_scenario("paper-va")
+        spec = dataclasses.replace(
+            base, run_minutes=20.0, warmup_minutes=0.0,
+            config=dataclasses.replace(
+                base.config,
+                outdoor=OutdoorConfig(temp_c, dew_point_c)))
+        system = run_scenario(spec)
+        plant = system.plant
+        for tank in (plant.radiant_tank, plant.vent_tank):
+            assert abs(tank.energy_balance_residual_j()) <= 1e-6
+            cop = tank.chiller.cop_at(temp_c + CONDENSER_APPROACH_K)
+            assert math.isfinite(cop) and cop > 0

@@ -1,5 +1,7 @@
 """Tests for water properties, pumps, mixing, chiller, tank, panel."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -172,6 +174,17 @@ class TestChiller:
         warm = CarnotFractionChiller("w", 18.0, 0.30)
         cold = CarnotFractionChiller("c", 8.0, 0.30)
         assert warm.cop_at(34.9) > cold.cop_at(34.9)
+
+    def test_low_lift_is_floored(self):
+        """At or below the setpoint, the reject temperature is lifted
+        to setpoint + MIN_LIFT_K: the COP stays finite and bounded."""
+        from repro.hydronics.chiller import MIN_LIFT_K
+        chiller = self.make()
+        floor = chiller.cop_at(18.0 + MIN_LIFT_K)
+        for reject in (18.0 + MIN_LIFT_K - 1e-9, 18.5, 18.0, 0.0, -40.0):
+            assert chiller.cop_at(reject) == floor
+        assert math.isfinite(floor)
+        assert chiller.cop_at(18.0 + MIN_LIFT_K + 1.0) < floor
 
     def test_idle_draws_parasitic(self):
         chiller = self.make()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs import NULL_OBS, Observability, create_observability
+from repro.obs.collect import histogram
 from repro.obs.events import (
     COLLISION_BURST,
     CONSERVATIVE_LATCHED,
@@ -20,11 +21,6 @@ from repro.obs.events import (
     worker_record,
 )
 from repro.obs.manifest import build_manifest, config_hash
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    diff_snapshots,
-)
 from repro.obs.profiler import (
     COMPONENTS,
     SimTimeProfiler,
@@ -39,92 +35,24 @@ from repro.obs.schema import (
 from repro.runtime.progress import FINISHED, STARTED, ProgressEvent
 
 
-class TestMetricsRegistry:
-    def test_counter_counts(self):
-        registry = MetricsRegistry(enabled=True)
-        counter = registry.counter("net.mac.retransmits")
-        counter.inc()
-        counter.inc(3)
-        assert registry.snapshot() == {"net.mac.retransmits": 4}
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().counter("x").inc(-1)
-
-    def test_gauge_tracks_last_value(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("control.board.c2.fallback_tier")
-        gauge.set(2.0)
-        gauge.set(1.0)
-        assert registry.snapshot()["control.board.c2.fallback_tier"] == 1.0
-
-    def test_same_name_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-
-    def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("a")
-        with pytest.raises(TypeError):
-            registry.gauge("a")
-        with pytest.raises(TypeError):
-            registry.histogram("a")
-
-    def test_disabled_registry_allocates_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        a = registry.counter("a")
-        b = registry.counter("b")
-        assert a is b  # shared null singleton
-        a.inc(100)
-        registry.gauge("g").set(5.0)
-        registry.histogram("h").observe(1.0)
-        assert registry.names() == []
-        assert registry.snapshot() == {}
-
+class TestHistogram:
     def test_histogram_buckets_and_stats(self):
-        hist = Histogram(edges=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.5, 3.0, 99.0):
-            hist.observe(value)
-        d = hist.to_dict()
-        assert d["bucket_counts"] == [1, 1, 1, 1]
-        assert d["count"] == 4
-        assert d["min"] == 0.5
-        assert d["max"] == 99.0
+        hist = histogram((0.5, 1.5, 3.0, 99.0), edges=(1.0, 2.0, 4.0))
+        assert hist["edges"] == [1.0, 2.0, 4.0]
+        assert hist["bucket_counts"] == [1, 1, 1, 1]
+        assert hist["count"] == 4
+        assert hist["sum"] == 104.0
+        assert hist["min"] == 0.5
+        assert hist["max"] == 99.0
 
-    def test_histogram_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
-            Histogram(edges=())
-        with pytest.raises(ValueError):
-            Histogram(edges=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(edges=(1.0, 1.0))
+    def test_value_on_an_edge_falls_in_that_bucket(self):
+        hist = histogram((1.0, 2.0, 2.5), edges=(1.0, 2.0))
+        assert hist["bucket_counts"] == [1, 1, 1]
 
-    def test_diff_snapshots_numeric(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        registry.gauge("g").set(7.0)
-        before = registry.snapshot()
-        counter.inc(5)
-        after = registry.snapshot()
-        # The gauge did not move, so only the counter appears.
-        assert diff_snapshots(before, after) == {"c": 5}
-
-    def test_diff_snapshots_histogram(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", edges=(1.0, 2.0))
-        hist.observe(0.5)
-        before = registry.snapshot()
-        hist.observe(1.5)
-        hist.observe(9.0)
-        delta = diff_snapshots(before, registry.snapshot())["h"]
-        assert delta["count"] == 2
-        assert delta["bucket_counts"] == [0, 1, 1]
-
-    def test_diff_snapshots_new_name_counts_from_zero(self):
-        registry = MetricsRegistry()
-        before = registry.snapshot()
-        registry.counter("fresh").inc(2)
-        assert diff_snapshots(before, registry.snapshot()) == {"fresh": 2}
+    def test_empty_histogram(self):
+        hist = histogram((), edges=(1.0,))
+        assert hist == {"edges": [1.0], "bucket_counts": [0, 0],
+                        "count": 0, "sum": 0.0, "min": None, "max": None}
 
 
 class TestEventLog:
@@ -349,7 +277,6 @@ class TestObservabilityContext:
     def test_null_obs_is_disabled_everywhere(self):
         assert not NULL_OBS.enabled
         assert NULL_OBS.profiler is None
-        assert not NULL_OBS.metrics.enabled
         assert not NULL_OBS.events.enabled
 
     def test_create_observability(self):
@@ -362,4 +289,4 @@ class TestObservabilityContext:
     def test_repr(self):
         assert "enabled" in repr(create_observability())
         assert "disabled" in repr(Observability(
-            False, MetricsRegistry(enabled=False), EventLog(enabled=False)))
+            False, EventLog(enabled=False)))

@@ -139,14 +139,24 @@ class TestCollection:
         payload = obs_payload(system, obs)
         metrics = payload["metrics"]
         prefixes = {name.split(".")[0] for name in metrics}
-        assert {"engine", "net", "control", "physics",
-                "hydronics"} <= prefixes
+        assert {"engine", "net", "control", "hydronics"} <= prefixes
+        assert not any(name.startswith("physics.") for name in metrics)
         assert metrics["workload.faults_injected"] == 2
+        # Inline counts agree with the event log (nowhere near its cap).
+        assert metrics["control.tier_transitions"] == len(
+            obs.events.of_kind(TIER_TRANSITION))
+        assert metrics["control.degraded_estimates"] == sum(
+            board.degraded_estimates for board in system.boards)
+        assert metrics["net.mac.queue_depth_max"]["count"] == (
+            len(system.bt_nodes) + len(system.boards))
         health = payload["health"]
         assert health["nodes"]["bt-room-hum-0"]["crashed"]
         assert not health["nodes"]["bt-room-temp-1"]["crashed"]
         assert set(health) >= {"t", "nodes", "boards", "tanks",
                                "supervisor", "engine"}
+        assert "psychro_hit_rate" not in health
+        assert not any(key.startswith("spectral_")
+                       for key in health["physics"])
         assert payload["profile"]["components"]
 
     def test_health_snapshot_without_obs(self):
@@ -213,6 +223,23 @@ class TestCampaignTelemetry:
         assert problems
         assert main(["status", "--telemetry", str(tel_dir),
                      "--validate"]) == 1
+
+
+class TestTelemetryWorkerIdentity:
+    def test_metrics_and_health_do_not_depend_on_workers(self, tmp_path):
+        """Per-run telemetry holds only the run's own state, so a
+        pooled sweep writes the same metrics.json and health.json
+        bytes as a serial one (a direct-control grid exercises the
+        macro-step path that process-wide caches would leak through)."""
+        from repro.cli import main
+        for workers in (1, 2):
+            assert main(["sweep", "--seeds", "3", "--minutes", "4",
+                         "--warmup-minutes", "1", "--direct",
+                         "--workers", str(workers), "--telemetry",
+                         str(tmp_path / f"w{workers}")]) == 0
+        for name in ("metrics.json", "health.json"):
+            assert ((tmp_path / "w1" / name).read_bytes()
+                    == (tmp_path / "w2" / name).read_bytes()), name
 
 
 class TestPoolTee:

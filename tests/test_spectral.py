@@ -12,6 +12,8 @@ they also pin the structured ``eigh`` solver that makes the 512/1024-zone
 grids tractable against the dense reference oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from repro.core.system import BubbleZero
 from repro.obs import create_observability
 from repro.physics import spectral
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.spec import prepare_run
+from repro.scenarios.spec import prepare_run, run_scenario
 from repro.scenarios.topology import grid_topology
 
 DIRECT = NetworkConfig(enabled=False)
@@ -224,6 +226,35 @@ class TestStructuredSolver:
                 [s.state.temp_c for s in system.plant.room.subspaces])
         assert np.allclose(states["dense"], states["structured"],
                            rtol=0, atol=1e-6)
+
+
+def _registry_grid_temps(zones, solver, minutes=2.0):
+    """Final zone temperatures of registry ``grid-<zones>`` after a
+    short run on ``solver``; the cache is cleared after, so no large
+    decomposition outlives the run."""
+    base = get_scenario(f"grid-{zones}")
+    spec = dataclasses.replace(
+        base, run_minutes=minutes,
+        config=dataclasses.replace(base.config, physics_solver=solver))
+    system = run_scenario(spec)
+    temps = np.array([s.state.temp_c for s in system.plant.room.subspaces])
+    assert system.plant.room.macro_gaps > 0, "macro path never engaged"
+    spectral.cache_clear()
+    return temps
+
+
+class TestLargeGridRuns:
+    """The registry's 512/1024-zone grids are the only users of the
+    structured solver; run each end to end against the dense oracle
+    (1024 in the slow lane: its dense side peaks near 0.5 GB)."""
+
+    @pytest.mark.parametrize("zones", [
+        512, pytest.param(1024, marks=pytest.mark.slow)])
+    def test_structured_matches_dense(self, zones):
+        structured = _registry_grid_temps(zones, "structured")
+        dense = _registry_grid_temps(zones, "dense")
+        assert len(structured) == zones
+        assert np.allclose(dense, structured, rtol=0, atol=1e-6)
 
 
 def _run_grid(zones, cols, minutes, vector, obs_on, cache):
