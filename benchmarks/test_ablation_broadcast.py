@@ -33,7 +33,7 @@ class TestBroadcastAblation:
             unicast_frames = 0
             per_type = Counter()
             for record in system.sniffer.records:
-                data_type = record.packet.data_type
+                data_type = record.data_type
                 interested = consumers.get(data_type, 0)
                 if record.sender.startswith("control-"):
                     interested = max(0, interested - 1)  # not itself

@@ -36,7 +36,7 @@ def extract_dataflow(system) -> nx.DiGraph:
 
     supplied: Dict[Tuple[str, DataType], int] = Counter()
     for record in system.sniffer.records:
-        supplied[(record.sender, record.packet.data_type)] += 1
+        supplied[(record.sender, record.data_type)] += 1
 
     subscriptions: Dict[str, Set[DataType]] = {}
     for board in system.boards:

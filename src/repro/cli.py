@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 5)")
     bakeoff.add_argument("--window-minutes", type=float, default=10.0,
                          help="rolling SLO window length (default: 10)")
-    _add_matrix_options(bakeoff, seeds=(2, 7))
+    _add_matrix_options(bakeoff, seeds=(2, 7), telemetry=True)
 
     cop = sub.add_parser("cop", help="steady-state COP report (Fig. 11)")
     cop.add_argument("--seed", type=int, default=7)
@@ -469,6 +469,9 @@ def cmd_bakeoff(args: argparse.Namespace) -> int:
         run_bakeoff,
     )
 
+    if args.trace and not args.telemetry:
+        print("--trace requires --telemetry", file=sys.stderr)
+        return 2
     try:
         config = BakeoffConfig(controllers=_names(args.controllers),
                                scenarios=_names(args.scenarios),
@@ -486,7 +489,8 @@ def cmd_bakeoff(args: argparse.Namespace) -> int:
           f"{len(config.scenarios)} cell(s) x {len(config.seeds)} "
           f"seed(s), {workers} worker(s)")
     result = run_bakeoff(config, progress=_print_line, workers=workers,
-                         timeout_s=args.timeout_s)
+                         timeout_s=args.timeout_s,
+                         telemetry_dir=args.telemetry, trace=args.trace)
     return _finish_matrix(args, result, result.render())
 
 

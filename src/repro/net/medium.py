@@ -9,7 +9,10 @@ succeeds unless an independent per-reception noise loss strikes.
 
 A :class:`Sniffer` registered on the medium sees every frame and its
 fate — the simulation counterpart of the paper's "TelosB based sniffer
-nodes [that] collect all network packets".
+nodes [that] collect all network packets".  It keeps a columnar log of
+the fields its readers use, not the frames themselves, so a frame's
+``Transmission``, packet and payload become garbage once its airtime
+has ended.
 
 Delivery is the hottest loop of network-bound runs, so the medium
 vectorises the per-receiver loss draws (one ``uniform(size=n)`` call per
@@ -21,11 +24,13 @@ type-filter fast path to skip a Python call per uninterested receiver.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
-from repro.net.packet import Packet
+from repro.net.packet import DataType, Packet
 from repro.obs.events import COLLISION_BURST
 from repro.sim.engine import Simulator, PRIORITY_NETWORK
 
@@ -44,48 +49,98 @@ class Transmission:
     start: float
     end: float
     collided: bool = False
-    # How many receivers heard the frame; set when its airtime ends.
-    receivers_reached: int = 0
 
 
-# The sniffer logs each finished ``Transmission`` itself (nothing
-# mutates one after its airtime has ended); the old record name stays
-# for callers that import it.
-SnifferRecord = Transmission
+class SnifferRecord(NamedTuple):
+    """One sniffed frame, as :class:`Sniffer` hands it back."""
+
+    sender: str
+    source: str
+    data_type: DataType
+    start: float
+    end: float
+    collided: bool
+    receivers_reached: int
+
+
+class _Interned(dict):
+    """Sender, source and data-type codes, numbered in first-seen order
+    (so ``list(codes)[code]`` is the value a code stands for)."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: object) -> int:
+        code = self[value] = len(self)
+        return code
 
 
 class Sniffer:
     """Promiscuous logger of everything on the channel.
 
-    ``collision_count`` and ``frames_of`` are answered from running
-    counters and a per-type index maintained in :meth:`log` — both
-    used to re-scan the full frame list on every call, which made each
-    per-report query O(total frames) on multi-hour runs.
+    The log is columnar and append-only: per frame it stores start and
+    end times, small-int codes for sender, source and data type (into
+    one interned table), the collision flag and how many receivers the
+    frame reached — about 33 bytes, where keeping each finished
+    ``Transmission`` kept its packet and payload dict alive too (about
+    0.5 KB per frame, so a multi-hour trial's memory grew with its
+    length).  :class:`SnifferRecord` tuples are built only when
+    :attr:`records` or :meth:`frames_of` is read.
     """
 
+    __slots__ = ("_codes", "_starts", "_ends", "_senders", "_sources",
+                 "_data_types", "_collided", "_reached")
+
     def __init__(self) -> None:
-        self.records: List[Transmission] = []
-        self._collisions = 0
-        self._by_type: Dict[object, List[Transmission]] = {}
+        self._codes = _Interned()
+        self._starts = array("d")
+        self._ends = array("d")
+        self._senders = array("I")
+        self._sources = array("I")
+        self._data_types = array("I")
+        self._collided = bytearray()
+        self._reached = array("I")
 
-    def log(self, record: Transmission) -> None:
-        self.records.append(record)
-        if record.collided:
-            self._collisions += 1
-        self._by_type.setdefault(record.packet.data_type,
-                                 []).append(record)
+    def log(self, tx: Transmission, reached: int) -> None:
+        """Append one finished frame that reached ``reached`` receivers."""
+        packet = tx.packet
+        codes = self._codes
+        self._starts.append(tx.start)
+        self._ends.append(tx.end)
+        self._senders.append(codes[tx.sender])
+        self._sources.append(codes[packet.source])
+        self._data_types.append(codes[packet.data_type])
+        self._collided.append(tx.collided)
+        self._reached.append(reached)
 
-    def frames_of(self, data_type) -> List[Transmission]:
-        """Frames carrying ``data_type``, in arrival order (a copy)."""
-        return list(self._by_type.get(data_type, ()))
+    def _rows(self, indices: Iterable[int]) -> List[SnifferRecord]:
+        values = list(self._codes)
+        return [SnifferRecord(values[self._senders[i]],
+                              values[self._sources[i]],
+                              values[self._data_types[i]],
+                              self._starts[i], self._ends[i],
+                              bool(self._collided[i]), self._reached[i])
+                for i in indices]
+
+    @property
+    def records(self) -> List[SnifferRecord]:
+        """Every frame, in arrival order (built on each read)."""
+        return self._rows(range(len(self._starts)))
+
+    def frames_of(self, data_type) -> List[SnifferRecord]:
+        """Frames carrying ``data_type``, in arrival order."""
+        code = self._codes.get(data_type)
+        if code is None:
+            return []
+        return self._rows(i for i, c in enumerate(self._data_types)
+                          if c == code)
 
     @property
     def collision_count(self) -> int:
-        return self._collisions
+        return self._collided.count(1)
 
     @property
     def frame_count(self) -> int:
-        return len(self.records)
+        return len(self._starts)
 
 
 class ChannelActivityLog:
@@ -341,10 +396,8 @@ class BroadcastMedium:
             self._obs.trace.air(tx.packet.trace_ctx, tx.sender,
                                 tx.start, self.sim.clock.now,
                                 1 if tx.collided else 0, reached)
-        if self._sniffers:
-            tx.receivers_reached = reached
-            for sniffer in self._sniffers:
-                sniffer.log(tx)
+        for sniffer in self._sniffers:
+            sniffer.log(tx, reached)
 
     # Minimum run of consecutively collided frames that counts as a
     # "burst" worth an event record; isolated collisions are routine

@@ -111,10 +111,12 @@ class BakeoffResult:
                                    failures=self.failures)
 
 
-def bakeoff_specs(config: BakeoffConfig) -> List["RunSpec"]:  # noqa: F821
+def bakeoff_specs(config: BakeoffConfig,
+                  trace: bool = False) -> List["RunSpec"]:  # noqa: F821
     """The matrix as an ordered, picklable spec list.
 
     Telemetry is always on — the SLO columns consume the event log.
+    ``trace`` also records each run's causal spans.
     """
     from repro.runtime.spec import RunSpec
     from repro.scenarios.registry import get_scenario
@@ -128,7 +130,8 @@ def bakeoff_specs(config: BakeoffConfig) -> List["RunSpec"]:  # noqa: F821
             controller=controller,
             run_minutes=config.minutes,
             warmup_minutes=config.warmup_minutes)
-        specs.append(RunSpec(label=label, scenario=cell, telemetry=True))
+        specs.append(RunSpec(label=label, scenario=cell, telemetry=True,
+                             trace=trace))
     return specs
 
 
@@ -183,13 +186,21 @@ def bakeoff_manifest(config: BakeoffConfig) -> Dict[str, object]:
 def run_bakeoff(config: BakeoffConfig,
                 progress: Optional[Callable[[str], None]] = None,
                 workers: int = 1,
-                timeout_s: Optional[float] = None) -> BakeoffResult:
-    """Run the matrix through the pool and score every run."""
+                timeout_s: Optional[float] = None,
+                telemetry_dir: Optional[str] = None,
+                trace: bool = False) -> BakeoffResult:
+    """Run the matrix through the pool and score every run.
+
+    ``telemetry_dir`` writes the runs' artifact directory
+    (:mod:`repro.obs.status`); ``trace`` adds their causal spans.
+    Neither changes a scored number.
+    """
     from repro.runtime.pool import run_matrix
     from repro.runtime.progress import first_starts
 
     return run_matrix(
-        bakeoff_specs(config), partial(merge_bakeoff, config),
+        bakeoff_specs(config, trace=trace), partial(merge_bakeoff, config),
         bakeoff_manifest(config), workers=workers, timeout_s=timeout_s,
         progress=first_starts(progress, lambda event: (
-            f"run {event.label} ({config.minutes:g} min)")))
+            f"run {event.label} ({config.minutes:g} min)")),
+        telemetry_dir=telemetry_dir)

@@ -214,3 +214,34 @@ def test_cli_bakeoff_rejects_unknown_controller(capsys):
 
     assert main(["bakeoff", "--controllers", "pid,bogus"]) == 2
     assert "unknown controller" in capsys.readouterr().err
+
+
+def test_cli_bakeoff_telemetry_is_worker_count_independent(tmp_path):
+    from repro.cli import main
+
+    base = ["bakeoff", "--controllers", "pid", "--seeds", "2",
+            "--minutes", "6", "--warmup-minutes", "1",
+            "--window-minutes", "2"]
+
+    def run(name, workers, telemetry):
+        out = tmp_path / name
+        argv = base + ["--workers", str(workers),
+                       "--report", str(out / "report.md"),
+                       "--json", str(out / "report.json")]
+        if telemetry:
+            argv += ["--telemetry", str(out / "telemetry")]
+        out.mkdir()
+        assert main(argv) == 0
+        return out
+
+    plain = run("plain", 1, telemetry=False)
+    serial = run("serial", 1, telemetry=True)
+    pooled = run("pooled", 2, telemetry=True)
+    # events.jsonl and profile.json carry host timings; these two hold
+    # only each run's own state.
+    for name in ("metrics.json", "health.json"):
+        assert ((serial / "telemetry" / name).read_bytes()
+                == (pooled / "telemetry" / name).read_bytes())
+    for out in (serial, pooled):
+        for name in ("report.md", "report.json"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()

@@ -91,7 +91,7 @@ class TestMatrixCommandSurface:
             "--minutes": ("minutes", 30.0, "float"),
             "--warmup-minutes": ("warmup_minutes", 5.0, "float"),
             "--window-minutes": ("window_minutes", 10.0, "float"),
-            **POOL,
+            **POOL, **TELEMETRY,
         },
         "campaign": {
             "--quick": ("quick", False, "flag"),

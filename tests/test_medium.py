@@ -130,8 +130,8 @@ class TestSniffer:
         assert sniffer.collision_count == 2
 
     def test_running_counters_match_brute_force_scan(self, sim):
-        # collision_count and frames_of are maintained incrementally in
-        # log(); they must agree with a full scan over the record list.
+        # collision_count and frames_of read the sniffer's columns;
+        # they must agree with a full scan over the record list.
         medium = BroadcastMedium(sim, loss_probability=0.0)
         sniffer = Sniffer()
         medium.attach_sniffer(sniffer)
@@ -151,7 +151,7 @@ class TestSniffer:
         for data_type in types:
             assert sniffer.frames_of(data_type) == [
                 r for r in sniffer.records
-                if r.packet.data_type == data_type]
+                if r.data_type == data_type]
         assert sniffer.frames_of("no-such-type") == []
 
     def test_activity_listener_invoked(self, sim):
