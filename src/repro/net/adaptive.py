@@ -14,13 +14,27 @@ lambda is re-learned every 20 minutes from the histogram approximation
 (:mod:`repro.net.histogram`); an :class:`~repro.net.histogram.ExactClusterOracle`
 runs alongside to score every adaptation decision against the optimal
 one — the quantity plotted in the paper's Fig. 12(a) and Fig. 13.
+
+The decisions grow with run length (~96k over the 300-minute §V-C
+trial), so :class:`DecisionLog` keeps them as typed columns, not as
+objects: the times in an ``array('d')``, both classifiers' verdicts in
+one ``bytearray`` byte, the two thresholds as a short change-point list
+(they move only on the 20-minute relearn), and the variances not at
+all — they are the oracle's own ``values`` column.  Reading the log
+builds :class:`AdaptationDecision` tuples on demand.  Readers copy a
+column (``np.array(col)``) and never keep a ``np.asarray`` or
+``np.frombuffer`` view of one: while a view is alive, the next
+``append`` raises ``BufferError``.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from dataclasses import dataclass
+from typing import (Deque, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.net.histogram import ExactClusterOracle, VarianceHistogram
 from repro.net.packet import DataType
@@ -61,8 +75,7 @@ class AdaptivePolicy:
         return cls(sampling_period_s=period, **overrides)
 
 
-@dataclass
-class AdaptationDecision:
+class AdaptationDecision(NamedTuple):
     """One classified variance and how both classifiers judged it."""
 
     time: float
@@ -75,6 +88,102 @@ class AdaptationDecision:
     @property
     def matches_oracle(self) -> bool:
         return self.histogram_unstable == self.oracle_unstable
+
+
+# Verdict byte: bit 0 is the histogram's "unstable", bit 1 the
+# oracle's, so the two classifiers agree on bytes 0 and 3.
+_HISTOGRAM_UNSTABLE = 1
+_ORACLE_UNSTABLE = 2
+_AGREES = (1, 0, 0, 1)
+
+
+class DecisionLog(Sequence[AdaptationDecision]):
+    """Columnar, append-only log of one transmitter's decisions.
+
+    Decision ``i`` is the ``i``-th entry of ``variances`` (the oracle's
+    column, which gains one value per decision and is read, not
+    copied), the ``i``-th time and verdict byte, and the threshold pair
+    of the last change point at or before ``i``.  Indexing, slicing and
+    iterating build :class:`AdaptationDecision` tuples.
+    """
+
+    __slots__ = ("_times", "_verdicts", "_variances", "_change_at",
+                 "_thresholds")
+
+    def __init__(self, variances: Sequence[float]) -> None:
+        self._times = array("d")
+        self._verdicts = bytearray()
+        self._variances = variances
+        # The decision index from which each threshold pair holds.
+        self._change_at: List[int] = [0]
+        self._thresholds: List[Tuple[Optional[float], Optional[float]]] = [
+            (None, None)]
+
+    def append(self, time: float, histogram_unstable: bool,
+               oracle_unstable: bool) -> None:
+        self._times.append(time)
+        self._verdicts.append(histogram_unstable | oracle_unstable << 1)
+
+    def set_thresholds(self, histogram: Optional[float],
+                       oracle: Optional[float]) -> None:
+        """Thresholds that hold from the next appended decision on."""
+        at = len(self._times)
+        if self._change_at[-1] == at:
+            self._thresholds[-1] = (histogram, oracle)
+        else:
+            self._change_at.append(at)
+            self._thresholds.append((histogram, oracle))
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def _decision(self, i: int, thresholds) -> AdaptationDecision:
+        verdict = self._verdicts[i]
+        return AdaptationDecision(
+            self._times[i], self._variances[i],
+            bool(verdict & _HISTOGRAM_UNSTABLE),
+            bool(verdict & _ORACLE_UNSTABLE), *thresholds)
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # IndexError; negative indices
+        return self._decision(
+            i, self._thresholds[bisect_right(self._change_at, i) - 1])
+
+    def __iter__(self) -> Iterator[AdaptationDecision]:
+        ends = self._change_at[1:] + [len(self)]
+        for start, end, thresholds in zip(self._change_at, ends,
+                                          self._thresholds):
+            for i in range(start, end):
+                yield self._decision(i, thresholds)
+
+    def accuracy(self) -> Optional[float]:
+        """Fraction of decisions matching the oracle, or None if empty."""
+        if not self._verdicts:
+            return None
+        matches = (self._verdicts.count(0) + self._verdicts.count(
+            _HISTOGRAM_UNSTABLE | _ORACLE_UNSTABLE))
+        return matches / len(self._verdicts)
+
+    def accuracy_series(self, bucket_s: float) -> List[tuple]:
+        """(bucket_end_time, accuracy) over consecutive time buckets."""
+        if not self._times:
+            return []
+        series = []
+        bucket_end = self._times[0] + bucket_s
+        hits = total = 0
+        for time, verdict in zip(self._times, self._verdicts):
+            while time > bucket_end:
+                if total:
+                    series.append((bucket_end, hits / total))
+                bucket_end += bucket_s
+                hits = total = 0
+            hits += _AGREES[verdict]
+            total += 1
+        if total:
+            series.append((bucket_end, hits / total))
+        return series
 
 
 class AdaptiveTransmitter:
@@ -92,7 +201,9 @@ class AdaptiveTransmitter:
         self._threshold: Optional[float] = None
         self._oracle_threshold: Optional[float] = None
         self._last_threshold_update: Optional[float] = None
-        self.decisions: List[AdaptationDecision] = []
+        # Only a transmitter with an oracle logs (scored) decisions.
+        self.decisions = DecisionLog(
+            self.oracle.values if self.oracle is not None else array("d"))
         self.period_changes: List[tuple] = []  # (time, new_period)
 
     # ------------------------------------------------------------------
@@ -140,12 +251,7 @@ class AdaptiveTransmitter:
         if self.oracle is not None:
             oracle_unstable = (self._oracle_threshold is not None
                                and variance > self._oracle_threshold)
-            self.decisions.append(AdaptationDecision(
-                time=now, variance=variance,
-                histogram_unstable=unstable,
-                oracle_unstable=oracle_unstable,
-                histogram_threshold=self._threshold,
-                oracle_threshold=self._oracle_threshold))
+            self.decisions.append(now, unstable, oracle_unstable)
 
         if unstable:
             self._stable_streak = 0
@@ -195,6 +301,8 @@ class AdaptiveTransmitter:
             oracle_threshold = self.oracle.threshold()
             if oracle_threshold is not None:
                 self._oracle_threshold = oracle_threshold
+            self.decisions.set_thresholds(self._threshold,
+                                          self._oracle_threshold)
 
     def force_threshold_update(self, now: float) -> None:
         """Immediate lambda refresh (used by tests and benches)."""
@@ -204,27 +312,8 @@ class AdaptiveTransmitter:
     # ------------------------------------------------------------------
     def accuracy(self) -> Optional[float]:
         """Fraction of adaptation decisions matching the oracle."""
-        if not self.decisions:
-            return None
-        matches = sum(1 for d in self.decisions if d.matches_oracle)
-        return matches / len(self.decisions)
+        return self.decisions.accuracy()
 
     def accuracy_series(self, bucket_s: float = 600.0) -> List[tuple]:
         """(bucket_end_time, accuracy) over consecutive time buckets."""
-        if not self.decisions:
-            return []
-        series = []
-        start = self.decisions[0].time
-        bucket_end = start + bucket_s
-        hits = total = 0
-        for decision in self.decisions:
-            while decision.time > bucket_end:
-                if total:
-                    series.append((bucket_end, hits / total))
-                bucket_end += bucket_s
-                hits = total = 0
-            hits += 1 if decision.matches_oracle else 0
-            total += 1
-        if total:
-            series.append((bucket_end, hits / total))
-        return series
+        return self.decisions.accuracy_series(bucket_s)

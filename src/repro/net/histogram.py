@@ -28,7 +28,8 @@ calibration (130 bytes and 1600 ms at N = 60).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from array import array
+from typing import List, Optional, Sequence
 
 
 class VarianceHistogram:
@@ -154,10 +155,17 @@ class ExactClusterOracle:
     split of the *sorted values* minimising total intra-cluster L1
     distance to the cluster means.  Its threshold is the optimal lambda
     the histogram approximates.
+
+    ``values`` is an append-only ``array('d')``, 8 B per variance; a
+    transmitter's :class:`~repro.net.adaptive.DecisionLog` reads its
+    variances from it instead of storing them again.  Readers copy it
+    (``np.array(values)``) and never keep a ``np.asarray`` or
+    ``np.frombuffer`` view: while a view is alive, the next ``add``
+    raises ``BufferError``.
     """
 
     def __init__(self) -> None:
-        self.values: List[float] = []
+        self.values = array("d")
 
     def add(self, variance: float) -> None:
         if variance < 0:
@@ -183,7 +191,8 @@ class ExactClusterOracle:
             return None
         import numpy as np
 
-        ordered = np.sort(np.asarray(self.values, dtype=float))
+        ordered = np.array(self.values, dtype=float)
+        ordered.sort()
         if ordered[0] == ordered[-1]:
             return None
         n = ordered.size

@@ -9,20 +9,30 @@ arrays.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 
 class TraceSeries:
-    """One append-only time series of scalar samples."""
+    """One append-only time series of scalar samples.
+
+    Times and values are two ``array('d')`` columns, 16 B per sample,
+    instead of lists of boxed floats (each list slot also kept alive
+    the float object of the event time it was given).  Every reader
+    returns copies (``np.array(col)``); none keeps a ``np.asarray`` or
+    ``np.frombuffer`` view of a column, because while such a view is
+    alive the next ``append`` raises ``BufferError``.
+    """
 
     __slots__ = ("name", "_times", "_values")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
+        self._times = array("d")
+        self._values = array("d")
 
     def __len__(self) -> int:
         return len(self._times)
@@ -32,14 +42,14 @@ class TraceSeries:
             raise ValueError(
                 f"series {self.name!r}: non-monotonic time "
                 f"{time} after {self._times[-1]}")
-        self._times.append(float(time))
-        self._values.append(float(value))
+        self._times.append(time)
+        self._values.append(value)
 
     def times(self) -> np.ndarray:
-        return np.asarray(self._times, dtype=float)
+        return np.array(self._times, dtype=float)
 
     def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=float)
+        return np.array(self._values, dtype=float)
 
     def last(self) -> Optional[Tuple[float, float]]:
         """Most recent ``(time, value)`` sample, or None if empty."""
@@ -51,7 +61,7 @@ class TraceSeries:
         """Zero-order-hold lookup of the series value at ``time``."""
         if not self._times:
             raise LookupError(f"series {self.name!r} is empty")
-        idx = int(np.searchsorted(self._times, time, side="right")) - 1
+        idx = bisect_right(self._times, time) - 1
         if idx < 0:
             raise LookupError(
                 f"series {self.name!r} has no sample at or before {time}")

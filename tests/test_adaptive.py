@@ -126,7 +126,7 @@ class TestThresholdLearning:
         tx = make_tx(window_size=10)
         for i in range(9):
             assert tx.on_sample(20.0, float(i)) is None
-        assert tx.decisions == []
+        assert len(tx.decisions) == 0
 
     def test_oracle_disabled(self):
         tx = AdaptiveTransmitter(
