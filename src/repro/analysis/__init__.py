@@ -7,12 +7,6 @@ from repro.analysis.metrics import (
     cdf,
     detection_delays,
 )
-from repro.analysis.comfort import (
-    ComfortInputs,
-    comfort_report,
-    predicted_mean_vote,
-    predicted_percentage_dissatisfied,
-)
 from repro.analysis.export import (
     export_summary_json,
     export_traces_csv,
@@ -36,10 +30,6 @@ __all__ = [
     "recovery_time",
     "cdf",
     "detection_delays",
-    "ComfortInputs",
-    "comfort_report",
-    "predicted_mean_vote",
-    "predicted_percentage_dissatisfied",
     "export_summary_json",
     "export_traces_csv",
     "load_summary_json",

@@ -55,10 +55,6 @@ class SensorModel:
         self._fault_offset = 0.0
 
     @property
-    def calibration_offset(self) -> float:
-        return self._offset
-
-    @property
     def is_stuck(self) -> bool:
         return self._stuck_at == self._stuck_at  # not NaN
 

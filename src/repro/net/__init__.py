@@ -15,7 +15,6 @@
 * ``energy`` — TelosB energy ledger and battery-lifetime projection.
 * ``topology`` / ``multihop`` — the paper's future-work extension:
   building-scale range-limited radio with type-based multicast.
-* ``timesync`` — drifting mote clocks and beacon synchronisation.
 """
 
 from repro.net.packet import DataType, Packet, frame_airtime_s
@@ -38,7 +37,6 @@ from repro.net.multihop import (
     MultihopMedium,
     build_multicast_trees,
 )
-from repro.net.timesync import DriftingClock, TimeSyncProtocol
 from repro.net.energy import EnergyLedger, BatteryModel, TELOSB_PROFILE
 
 __all__ = [
@@ -67,8 +65,6 @@ __all__ = [
     "MulticastRouter",
     "MultihopMedium",
     "build_multicast_trees",
-    "DriftingClock",
-    "TimeSyncProtocol",
     "EnergyLedger",
     "BatteryModel",
     "TELOSB_PROFILE",

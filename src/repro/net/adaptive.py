@@ -220,16 +220,6 @@ class AdaptiveTransmitter:
     def threshold(self) -> Optional[float]:
         return self._threshold
 
-    def metrics_summary(self) -> dict:
-        """Snapshot for the observability collector (JSON-safe)."""
-        return {
-            "w": self._w,
-            "send_period_s": self.send_period_s,
-            "period_changes": len(self.period_changes),
-            "decisions": len(self.decisions),
-            "threshold": self._threshold,
-        }
-
     # ------------------------------------------------------------------
     def on_sample(self, value: float, now: float) -> Optional[str]:
         """Feed one sensor sample.

@@ -185,7 +185,8 @@ class ExactClusterOracle:
         split) and elements below a right-block mean fill at least the
         prefix (clip the other way).  Each elementwise operation repeats
         the scalar expression, so costs — and the selected split — match
-        the former per-split loop bit for bit.
+        the former per-split loop bit for bit.  The boundary is returned
+        as a Python ``float``, so no decision carries a numpy scalar.
         """
         if len(self.values) < 2:
             return None
@@ -213,7 +214,7 @@ class ExactClusterOracle:
         cost2 = ((mean2 * (j2 - splits) - (prefix[j2] - prefix[splits]))
                  + ((prefix[n] - prefix[j2]) - mean2 * (n - j2)))
         best_split = int(np.argmin(cost1 + cost2)) + 1
-        return 0.5 * (ordered[best_split - 1] + ordered[best_split])
+        return float(0.5 * (ordered[best_split - 1] + ordered[best_split]))
 
 
 # ----------------------------------------------------------------------

@@ -64,9 +64,6 @@ class RadioTopology:
     def node_ids(self) -> List[str]:
         return sorted(self._placements)
 
-    def placement_of(self, node_id: str) -> NodePlacement:
-        return self._placements[node_id]
-
     def neighbors(self, node_id: str) -> List[str]:
         """Nodes within radio range of ``node_id``."""
         return sorted(self.graph.neighbors(node_id))
@@ -117,45 +114,6 @@ class RadioTopology:
         tree = nx.minimum_spanning_tree(
             self.graph.subgraph(subgraph_nodes))
         return sorted((min(a, b), max(a, b)) for a, b in tree.edges)
-
-
-def bubble_deployment(topology, seed: int = 0,
-                      sensor_scatter_m: float = 0.8) -> List[NodePlacement]:
-    """Node placements for a declarative scenario topology.
-
-    Takes a :class:`~repro.scenarios.topology.SystemTopology` and
-    returns one placement per device in its roster — the singleton
-    boards near the room centre, the per-zone boards at their zone
-    centre, and each zone's bt-sensor nodes jittered around the centre
-    by at most ``sensor_scatter_m`` — so the radio-layer studies can
-    run on exactly the device ids a built system will carry.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    cx = topology.length_m / 2.0
-    cy = topology.width_m / 2.0
-    centers = topology.zone_centers
-    placements: List[NodePlacement] = []
-    for board_id in topology.board_ids():
-        suffix = board_id.rsplit("-", 1)[-1]
-        if suffix.isdigit():
-            x, y = centers[int(suffix)]
-        else:
-            x, y = cx, cy
-        placements.append(NodePlacement(board_id, float(x), float(y)))
-    sensors_per_zone = len(topology.sensor_node_ids()) // topology.zone_count
-    for zone, (zx, zy) in enumerate(centers):
-        for s in range(sensors_per_zone):
-            node_id = topology.sensor_node_ids()[
-                zone * sensors_per_zone + s]
-            placements.append(NodePlacement(
-                node_id,
-                float(zx + rng.uniform(-sensor_scatter_m,
-                                       sensor_scatter_m)),
-                float(zy + rng.uniform(-sensor_scatter_m,
-                                       sensor_scatter_m))))
-    return placements
 
 
 def corridor_deployment(rooms: int, sensors_per_room: int = 3,

@@ -16,7 +16,6 @@ import json
 import os
 import platform
 import subprocess
-import sys
 from typing import Dict, Optional
 
 import numpy
@@ -77,8 +76,3 @@ def build_manifest(command: str,
     if extra:
         manifest.update(extra)
     return manifest
-
-
-def _module_paths() -> Dict[str, str]:  # pragma: no cover - debugging aid
-    """Where the key packages were imported from (debugging helper)."""
-    return {"python": sys.executable, "numpy": numpy.__file__}

@@ -11,17 +11,14 @@ hit.
 
 Cost containment is structural, not statistical hand-waving:
 
-* the profiler is only consulted from a *separate* dispatch loop
-  (``Simulator._run_until_profiled``), selected by a single branch at
-  the top of ``run_until`` — with profiling off, the hot loop is
-  byte-for-byte the unprofiled one;
+* ``Simulator.run_until`` tests one local per event for an attached
+  profiler — with profiling off, the callback is called directly;
 * enabled, it samples one event in ``stride`` (default 16) and the
-  skipped majority pay *nothing* — not even a counter increment, which
-  profiling every name turned out to cost several percent of wall
-  clock on network-heavy trials.  Event counts in the report are
-  therefore stride-scaled estimates; the simulator's own
-  ``events_dispatched`` remains the exact total, and BENCH_3.json
-  asserts the <3% overhead budget this design buys.
+  skipped majority pay one int decrement and never touch the
+  profiler.  Event counts in the report are therefore stride-scaled
+  estimates; the simulator's own ``events_dispatched`` remains the
+  exact total, and BENCH_3.json asserts the <3% overhead budget this
+  design buys.
 
 Timing uses ``perf_counter`` only — never the RNG, never the event
 queue — so a profiled run's discrete hashes are bit-identical to a
@@ -73,9 +70,9 @@ def classify_component(name: str) -> str:
 class SimTimeProfiler:
     """Per-event-name wall-time attribution, stride-sampled.
 
-    ``record(name, wall_s)`` is called by the profiled dispatch loop
-    for one event in ``stride``; skipped events touch the profiler not
-    at all.  Per-name event counts are estimated as ``timed × stride``
+    ``record(name, wall_s)`` is called by ``Simulator.run_until`` for
+    one event in ``stride``; skipped events touch the profiler not at
+    all.  Per-name event counts are estimated as ``timed × stride``
     — accurate to one stride for any steadily-firing name, and the
     only scheme whose disabled-majority cost is literally zero.
     """

@@ -3,12 +3,12 @@
 A :class:`SystemTopology` is the single data-driven description of a
 building that the whole stack assembles itself from: the room model
 takes the footprint and the inter-zone coupling graph, the plant takes
-the panel->zone map and the door/window exposure weights, the network
-stack derives the sensor-node and control-board rosters, and the radio
-layer places every device on the floor plan.  The default instance is
-the paper's BubbleZERO laboratory (6 m x 5 m x 2 m, four zones in a
-2x2 grid, two radiant panels each serving one row of the grid); an
-8- or 32-zone building is one :func:`grid_topology` call away.
+the panel->zone map and the door/window exposure weights, and the
+network stack derives the sensor-node and control-board rosters.  The
+default instance is the paper's BubbleZERO laboratory (6 m x 5 m x
+2 m, four zones in a 2x2 grid, two radiant panels each serving one row
+of the grid); an 8- or 32-zone building is one :func:`grid_topology`
+call away.
 
 This module deliberately imports nothing from the rest of ``repro`` so
 every layer — including :mod:`repro.core.plant`, which sits near the
@@ -35,8 +35,7 @@ class SystemTopology:
     is the undirected inter-zone coupling graph (conduction + bulk air
     mixing).  ``door_weights`` / ``window_weights`` split a door or
     window opening's bulk air exchange across zones by proximity to the
-    opening (paper §V-A); each must sum to one.  ``zone_centers`` are
-    (x, y) metres on the floor plan, used for radio placement.
+    opening (paper §V-A); each must sum to one.
     """
 
     name: str = "bubblezero-lab"
@@ -48,8 +47,6 @@ class SystemTopology:
     adjacency: Tuple[Tuple[int, int], ...] = ((0, 1), (0, 2), (1, 3), (2, 3))
     door_weights: Tuple[float, ...] = (0.55, 0.30, 0.09, 0.06)
     window_weights: Tuple[float, ...] = (0.09, 0.06, 0.55, 0.30)
-    zone_centers: Tuple[Tuple[float, float], ...] = (
-        (1.5, 1.25), (4.5, 1.25), (1.5, 3.75), (4.5, 3.75))
     equipment_w: float = 40.0
 
     def __post_init__(self) -> None:
@@ -61,8 +58,6 @@ class SystemTopology:
                            tuple(tuple(pair) for pair in self.adjacency))
         object.__setattr__(self, "door_weights", tuple(self.door_weights))
         object.__setattr__(self, "window_weights", tuple(self.window_weights))
-        object.__setattr__(self, "zone_centers",
-                           tuple(tuple(c) for c in self.zone_centers))
         if self.zone_count < 1:
             raise ValueError("a building needs at least one zone")
         if min(self.length_m, self.width_m, self.height_m) <= 0:
@@ -89,12 +84,6 @@ class SystemTopology:
                 raise ValueError(f"{label}_weights must be non-negative")
             if not math.isclose(sum(weights), 1.0, rel_tol=0, abs_tol=1e-9):
                 raise ValueError(f"{label}_weights must sum to 1")
-        if len(self.zone_centers) != self.zone_count:
-            raise ValueError("zone_centers must list every zone")
-        for x, y in self.zone_centers:
-            if not (0 <= x <= self.length_m and 0 <= y <= self.width_m):
-                raise ValueError(
-                    f"zone center ({x}, {y}) lies outside the footprint")
 
     # ------------------------------------------------------------------
     # Derived geometry
@@ -106,10 +95,6 @@ class SystemTopology:
     @property
     def volume_m3(self) -> float:
         return self.length_m * self.width_m * self.height_m
-
-    @property
-    def zone_volume_m3(self) -> float:
-        return self.volume_m3 / self.zone_count
 
     def panel_of(self, zone: int) -> int:
         """Index of the radiant panel serving ``zone``."""
@@ -223,9 +208,6 @@ def grid_topology(zone_count: int,
     panel_zones = tuple(
         tuple(range(start, min(start + 2, zone_count)))
         for start in range(0, zone_count, 2))
-    centers = tuple(((cell(z)[1] + 0.5) * zone_length_m,
-                     (cell(z)[0] + 0.5) * zone_width_m)
-                    for z in range(zone_count))
     return SystemTopology(
         name=name or f"grid-{zone_count}",
         zone_count=zone_count,
@@ -236,6 +218,5 @@ def grid_topology(zone_count: int,
         adjacency=tuple(adjacency),
         door_weights=exposure(door_zone),
         window_weights=exposure(window_zone),
-        zone_centers=centers,
         equipment_w=equipment_w,
     )

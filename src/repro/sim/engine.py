@@ -206,9 +206,9 @@ class Simulator:
         Observability context (:class:`repro.obs.Observability`).
         Defaults to the shared disabled ``NULL_OBS`` singleton, which
         keeps the unobserved path allocation-free.  When the context
-        carries a profiler, ``run_until`` dispatches through a
-        profiled twin loop; observation never touches the RNG or the
-        event queue, so observed runs stay bit-identical to blind ones.
+        carries a profiler, ``run_until`` samples dispatch wall-time;
+        observation never touches the RNG or the event queue, so
+        observed runs stay bit-identical to blind ones.
     """
 
     def __init__(self, seed: int = 0, start_time: float = 0.0,
@@ -291,19 +291,25 @@ class Simulator:
         events sharing one instant: the horizon check and clock advance
         happen once per distinct timestamp rather than once per event.
 
-        With a profiler attached the run is delegated to
-        :meth:`_run_until_profiled` — a twin of this loop that samples
-        dispatch wall-time — so the unprofiled hot loop carries no
-        profiling residue beyond this one branch.
+        With a profiler attached, one event in ``stride`` is timed with
+        ``perf_counter`` and recorded on the profiler; the rest pay one
+        int decrement.  The skip countdown lives in a local and is
+        persisted back to the profiler in the ``finally``, so sampling
+        stays uniform across successive ``run_until`` calls.  Without a
+        profiler the callback is called directly.
         """
-        if self.obs.profiler is not None:
-            return self._run_until_profiled(end_time, max_events)
         dispatched = 0
         self._stopped = False
         queue = self.queue
         heap = queue._heap
         clock = self.clock
         heappop = heapq.heappop
+        profiler = self.obs.profiler
+        if profiler is not None:
+            perf = time.perf_counter
+            record = profiler.record
+            stride = profiler.stride
+            skip = profiler._skip
         # ``inf`` sentinel keeps the per-event limit check to a single
         # comparison in the (overwhelmingly common) unlimited case.
         limit = math.inf if max_events is None else max_events
@@ -337,72 +343,9 @@ class Simulator:
                     if event is not None:
                         event._queue = None  # dispatched; cancel no-ops
                     queue._live -= 1
-                    entry[3]()
-                    dispatched += 1
-                    if self._stopped or dispatched >= limit:
-                        break
-                    while heap:
-                        head_event = heap[0][5]
-                        if head_event is not None and head_event.cancelled:
-                            heappop(heap)
-                            continue
-                        break
-                    if not heap or heap[0][0] != batch_time:
-                        break
-        finally:
-            self._events_dispatched += dispatched
-        if self.clock.now < end_time:
-            self.clock.advance_to(end_time)
-        return dispatched
-
-    def _run_until_profiled(self, end_time: float,
-                            max_events: Optional[int] = None) -> int:
-        """Twin of :meth:`run_until` that attributes dispatch wall-time.
-
-        Identical event ordering and clock behaviour — only the
-        dispatch line differs: one event in ``stride`` is timed with
-        ``perf_counter`` and recorded on the profiler; the skipped rest
-        pay a single int decrement and nothing else (even counting
-        names per event costs several percent on network-heavy runs).
-        The skip countdown lives in a local for speed and is persisted
-        back to the profiler in the ``finally`` so sampling stays
-        uniform across successive ``run_until`` calls.
-        """
-        dispatched = 0
-        self._stopped = False
-        queue = self.queue
-        heap = queue._heap
-        clock = self.clock
-        heappop = heapq.heappop
-        perf = time.perf_counter
-        profiler = self.obs.profiler
-        record = profiler.record
-        stride = profiler.stride
-        skip = profiler._skip
-        limit = math.inf if max_events is None else max_events
-        try:
-            while not self._stopped:
-                if dispatched >= limit:
-                    break
-                while heap:
-                    head_event = heap[0][5]
-                    if head_event is not None and head_event.cancelled:
-                        heappop(heap)
-                        continue
-                    break
-                if not heap:
-                    break
-                batch_time = heap[0][0]
-                if batch_time > end_time:
-                    break
-                clock.now = batch_time
-                while True:
-                    entry = heappop(heap)
-                    event = entry[5]
-                    if event is not None:
-                        event._queue = None  # dispatched; cancel no-ops
-                    queue._live -= 1
-                    if skip:
+                    if profiler is None:
+                        entry[3]()
+                    elif skip:
                         skip -= 1
                         entry[3]()
                     else:
@@ -422,7 +365,8 @@ class Simulator:
                     if not heap or heap[0][0] != batch_time:
                         break
         finally:
-            profiler._skip = skip
+            if profiler is not None:
+                profiler._skip = skip
             self._events_dispatched += dispatched
         if self.clock.now < end_time:
             self.clock.advance_to(end_time)

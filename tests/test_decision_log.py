@@ -122,6 +122,19 @@ class TestPinnedSlice:
         for tx in system.adaptive_transmitters():
             assert tx.decisions[-1].histogram_threshold is not None
 
+    def test_decisions_hold_python_scalars(self, slice_run):
+        """No decision field is a numpy scalar, so a decision's ``repr``
+        does not depend on the numpy version: the raw tuples hash to the
+        same pinned SHA as the normalised ones."""
+        system, _ = slice_run
+        decisions = [d for tx in system.adaptive_transmitters()
+                     for d in tx.decisions]
+        for d in decisions:
+            assert type(d.oracle_threshold) in (float, type(None)), d
+            assert type(d.oracle_unstable) is bool, d
+            assert "np." not in repr(d), d
+        assert _sha(tuple(d) for d in decisions) == PINNED_DECISIONS[2]
+
     def test_accuracy(self, slice_run):
         system, _ = slice_run
         assert _sha((tx.accuracy(), tx.accuracy_series())

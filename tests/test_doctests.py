@@ -5,7 +5,6 @@ import doctest
 import pytest
 
 import repro.airside.fan
-import repro.analysis.comfort
 import repro.hydronics.heatpump
 import repro.hydronics.water
 import repro.net.energy
@@ -15,7 +14,6 @@ import repro.sim.clock
 
 MODULES = [
     repro.airside.fan,
-    repro.analysis.comfort,
     repro.hydronics.heatpump,
     repro.hydronics.water,
     repro.net.energy,

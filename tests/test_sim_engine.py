@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import create_observability
 from repro.sim.engine import (
     EventQueue,
     SimulationError,
@@ -215,3 +216,33 @@ class TestHeapCompaction:
         # Nothing survives to be re-dispatched by a later run.
         assert sim.run_until(400.0) == 0
         assert dict(fired) == expected
+
+
+def _profiled_sim():
+    """The ``sim`` fixture's simulator with a dispatch profiler attached;
+    stride 3 makes short runs take both the timed and the skipped path."""
+    return Simulator(seed=42, obs=create_observability(profile_stride=3))
+
+
+class TestSimulatorProfiled(TestSimulator):
+    """Every :class:`TestSimulator` case with a profiler attached."""
+
+    @pytest.fixture
+    def sim(self):
+        return _profiled_sim()
+
+    def test_profiler_times_one_event_in_stride(self, sim):
+        for i in range(10):
+            sim.schedule_at(float(i + 1), lambda: None)
+        assert sim.run_until(4.5) == 4
+        # The countdown carries over into the next run_until call.
+        assert sim.run_until(20.0) == 6
+        assert sim.obs.profiler.events_timed == 4  # events 1, 4, 7, 10
+
+
+class TestHeapCompactionProfiled(TestHeapCompaction):
+    """Every :class:`TestHeapCompaction` case with a profiler attached."""
+
+    @pytest.fixture
+    def sim(self):
+        return _profiled_sim()
